@@ -21,7 +21,12 @@ import (
 // under the old on-disk discipline. Codec identity is deliberately NOT
 // key material — it lives in each stored entry's frame header, so the
 // same cell hits regardless of which compression the cache runs.
-const fingerprintVersion = "stash-cell-v2"
+//
+// v3 is the L1 reservation-fail model: an access that finds no free
+// MSHR or registration slot stalls before choosing a victim, so it
+// evicts nothing. Scratch, ScratchG and Cache cells changed results
+// under an unchanged Config; v3 retires their v2 entries.
+const fingerprintVersion = "stash-cell-v3"
 
 // Fingerprint returns the cell's content address: a stable hex SHA-256
 // over the workload name and a canonical encoding of the Config. Two

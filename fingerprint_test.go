@@ -18,16 +18,20 @@ func TestFingerprintPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "7a21751cb410811a96c8981950098a196f1886904a3b813a5a7677e1d18d43d0"
+	const want = "54b33d65ae47b86da3eb3af90dddc4b7e0fb7a6094404cab8467d5f476c23c70"
 	if fp != want {
 		t.Errorf("fingerprint of implicit/MicroConfig(Stash) changed:\n got %s\nwant %s\nIf the encoding change is intentional, bump fingerprintVersion and repin.", fp, want)
 	}
-	// The v1 pin for the same cell. v2 retiring every v1 cache entry is
-	// only true if the version string actually moves the hash; guard
-	// against a refactor that stops folding it in.
-	const v1 = "33ceb7bd5ecc5aa7462f7c74c458b9dc975c51e5d7625da8f12a3a9a01a4cfbf"
-	if fp == v1 {
-		t.Error("v2 fingerprint collided with the retired v1 pin; fingerprintVersion is no longer key material")
+	// The retired pins for the same cell. A version bump retiring every
+	// older cache entry is only true if the version string actually
+	// moves the hash; guard against a refactor that stops folding it in.
+	for version, old := range map[string]string{
+		"stash-cell-v1": "33ceb7bd5ecc5aa7462f7c74c458b9dc975c51e5d7625da8f12a3a9a01a4cfbf",
+		"stash-cell-v2": "7a21751cb410811a96c8981950098a196f1886904a3b813a5a7677e1d18d43d0",
+	} {
+		if fp == old {
+			t.Errorf("fingerprint collided with the retired %s pin; fingerprintVersion is no longer key material", version)
+		}
 	}
 }
 

@@ -6,10 +6,12 @@ import (
 )
 
 // TestTechFingerprintsUnchangedWithoutTechAxes pins the fingerprints of
-// cells spanning both machine shapes and several organizations, captured
-// immediately before the technology axes were added to Config. Absent
-// (nil) tech fields must keep every pre-existing cell-cache entry valid,
-// so these hashes must never move without a fingerprintVersion bump.
+// cells spanning both machine shapes and several organizations, first
+// captured immediately before the technology axes were added to Config
+// and repinned at each fingerprintVersion bump since (now
+// stash-cell-v3). Absent (nil) tech fields must keep every pre-existing
+// cell-cache entry valid, so these hashes must never move without a
+// fingerprintVersion bump.
 func TestTechFingerprintsUnchangedWithoutTechAxes(t *testing.T) {
 	chunk4 := AppConfig(Scratch)
 	chunk4.ChunkWords = 4
@@ -20,16 +22,16 @@ func TestTechFingerprintsUnchangedWithoutTechAxes(t *testing.T) {
 	}{
 		{"implicit/MicroConfig(Stash)",
 			RunSpec{Workload: "implicit", Config: MicroConfig(Stash)},
-			"7a21751cb410811a96c8981950098a196f1886904a3b813a5a7677e1d18d43d0"},
+			"54b33d65ae47b86da3eb3af90dddc4b7e0fb7a6094404cab8467d5f476c23c70"},
 		{"lud/AppConfig(StashG)",
 			RunSpec{Workload: "lud", Config: AppConfig(StashG)},
-			"caf416af79cdf2996abe2cdb47f7593b77f013b682d42ffbec57ef7e1e3ef87f"},
+			"438c57d149b430d2aa3163389778c77d5a4f2b9bbee4ab5edc6f7fa01c74a58a"},
 		{"reuse/MicroConfig(Cache)",
 			RunSpec{Workload: "reuse", Config: MicroConfig(Cache)},
-			"fd6086159774e850aa96c473c1d0efb891b6a188bc1544a21238f136ef2df008"},
+			"64aa1666372d8aed2424f3fb4f05de0501f7d642fa94c1d8d85249e73252e280"},
 		{"sgemm/AppConfig(Scratch)+ChunkWords=4",
 			RunSpec{Workload: "sgemm", Config: chunk4},
-			"c9da90731f54662d54b13c942214eb1f639c6acfe3e791f97affb84f08074ffc"},
+			"4694668d99a3461534ede18bf38f705daf87476a4301ce3213fb4239a1a46e2e"},
 	} {
 		fp, err := tc.spec.Fingerprint()
 		if err != nil {
