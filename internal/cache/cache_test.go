@@ -272,3 +272,334 @@ func TestNoEnergyWhenDisabled(t *testing.T) {
 		t.Fatal("CPU L1 NoC traffic must still be charged (paper Section 5.2)")
 	}
 }
+
+// stubRig is one L1 whose LLC side is played by the test: the requests
+// the cache sends are dropped, and responses are injected by hand, so a
+// test decides exactly when MSHRs retire and registrations complete.
+type stubRig struct {
+	eng *sim.Engine
+	c   *Cache
+	set *stats.Set
+}
+
+func newStubRig(t *testing.T, p Params) *stubRig {
+	t.Helper()
+	eng := sim.NewEngine()
+	acct := energy.NewAccount(energy.DefaultCosts())
+	set := stats.NewSet()
+	net := noc.New(eng, 4, 4, acct, set)
+	for n := 0; n < 16; n++ {
+		net.Register(n, func(*noc.Message) {})
+	}
+	return &stubRig{eng: eng, c: New(eng, net, 1, "a", p, acct, set), set: set}
+}
+
+// fill answers line's outstanding read with every word (value = index).
+func (r *stubRig) fill(line memdata.PAddr) {
+	var vals [memdata.WordsPerLine]uint32
+	for i := range vals {
+		vals[i] = uint32(i)
+	}
+	r.c.HandlePacket(&coh.Packet{Type: coh.DataResp, Line: line, Mask: memdata.MaskAll, Vals: vals})
+}
+
+// ack completes line's registration of word 0.
+func (r *stubRig) ack(line memdata.PAddr) {
+	r.c.HandlePacket(&coh.Packet{Type: coh.RegAck, Line: line, Mask: memdata.Bit(0)})
+}
+
+func (r *stubRig) load(line memdata.PAddr, done *bool) {
+	r.c.Load(line, memdata.Bit(0), func([memdata.WordsPerLine]uint32) {
+		if done != nil {
+			*done = true
+		}
+	})
+}
+
+func (r *stubRig) store(line memdata.PAddr, done func()) {
+	var vals [memdata.WordsPerLine]uint32
+	if done == nil {
+		done = func() {}
+	}
+	r.c.Store(line, memdata.Bit(0), vals, done)
+}
+
+// conflicting returns the i-th line address mapping to set 0.
+func conflicting(p Params, i int) memdata.PAddr {
+	numSets := p.SizeBytes / memdata.LineBytes / p.Ways
+	return memdata.PAddr(i * numSets * memdata.LineBytes)
+}
+
+// other returns a line in set 1+i, away from set 0.
+func other(i int) memdata.PAddr { return memdata.PAddr((1 + i) * memdata.LineBytes) }
+
+// fillSetWithOwnedLines makes every way of set 0 a Registered line, so
+// an eviction there would have to write back.
+func (r *stubRig) fillSetWithOwnedLines(p Params) {
+	for i := 0; i < p.Ways; i++ {
+		r.store(conflicting(p, i), nil)
+		r.eng.Run()
+		r.ack(conflicting(p, i))
+	}
+}
+
+// set0 snapshots set 0's tags and LRU stamps.
+func (r *stubRig) set0() ([]memdata.PAddr, []uint64) {
+	s := &r.c.sets[0]
+	return append([]memdata.PAddr(nil), s.addrs...), append([]uint64(nil), s.stamp...)
+}
+
+func (r *stubRig) requireSet0(t *testing.T, addrs []memdata.PAddr, stamps []uint64) {
+	t.Helper()
+	a, s := r.set0()
+	for i := range addrs {
+		if a[i] != addrs[i] || s[i] != stamps[i] {
+			t.Fatalf("set 0 way %d: line %#x stamp %d, want line %#x stamp %d", i, a[i], s[i], addrs[i], stamps[i])
+		}
+	}
+}
+
+func smallParams(mshrs int) Params {
+	p := DefaultParams()
+	p.MSHRs = mshrs
+	return p
+}
+
+// With every MSHR busy, a load to an absent line is a reservation fail:
+// it evicts nothing, writes nothing back and refreshes no stamp while it
+// waits, then issues normally once an MSHR retires.
+func TestReservationFailLoadTouchesNothing(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	r.fillSetWithOwnedLines(p)
+	r.load(other(0), nil)
+	r.load(other(1), nil)
+	r.eng.Run()
+	addrs, stamps := r.set0()
+	out := r.c.Outstanding()
+
+	var done bool
+	r.load(conflicting(p, p.Ways), &done)
+	r.eng.RunFor(40)
+	if n := r.set.Sum("l1.a.evictions"); n != 0 {
+		t.Fatalf("stalled load evicted %d lines", n)
+	}
+	if n := r.set.Sum("l1.a.writebacks"); n != 0 {
+		t.Fatalf("stalled load wrote back %d lines", n)
+	}
+	r.requireSet0(t, addrs, stamps)
+	if got := r.c.Outstanding(); got != out+1 {
+		t.Fatalf("Outstanding = %d while the load waits, want %d (reservation fails are counted)", got, out+1)
+	}
+
+	r.fill(other(0))
+	r.eng.RunFor(8)
+	if r.set.Sum("l1.a.evictions") != 1 || r.set.Sum("l1.a.writebacks") != 1 {
+		t.Fatalf("after an MSHR retired: evictions %d writebacks %d, want 1 and 1",
+			r.set.Sum("l1.a.evictions"), r.set.Sum("l1.a.writebacks"))
+	}
+	r.fill(conflicting(p, p.Ways))
+	r.eng.Run()
+	if !done {
+		t.Fatal("stalled load never completed")
+	}
+}
+
+// With the registration buffer full, a store to an absent line waits
+// the same way: no eviction, no writeback, no stamp refreshed.
+func TestReservationFailStoreTouchesNothing(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	r.fillSetWithOwnedLines(p)
+	r.store(other(0), nil)
+	r.store(other(1), nil)
+	r.eng.Run()
+	addrs, stamps := r.set0()
+
+	done := false
+	r.store(conflicting(p, p.Ways), func() { done = true })
+	r.eng.RunFor(40)
+	if n := r.set.Sum("l1.a.evictions"); n != 0 {
+		t.Fatalf("stalled store evicted %d lines", n)
+	}
+	if n := r.set.Sum("l1.a.writebacks"); n != 0 {
+		t.Fatalf("stalled store wrote back %d lines", n)
+	}
+	r.requireSet0(t, addrs, stamps)
+	if done {
+		t.Fatal("stalled store was accepted")
+	}
+
+	r.ack(other(0))
+	r.eng.RunFor(8)
+	if !done || r.set.Sum("l1.a.evictions") != 1 || r.set.Sum("l1.a.writebacks") != 1 {
+		t.Fatalf("after a registration completed: accepted %v evictions %d writebacks %d, want true, 1, 1",
+			done, r.set.Sum("l1.a.evictions"), r.set.Sum("l1.a.writebacks"))
+	}
+}
+
+// A load that misses on a resident line with no MSHR to merge into, and
+// none free, stalls without refreshing that line's LRU stamp.
+func TestReservationFailLeavesResidentStamp(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	line := conflicting(p, 0)
+	r.load(line, nil) // word 0 ...
+	r.fill(line)      // ... now Shared
+	r.c.SelfInvalidate()
+	r.eng.Run()
+	r.load(other(0), nil)
+	r.load(other(1), nil)
+	r.eng.Run()
+	addrs, stamps := r.set0()
+
+	var done bool
+	r.load(line, &done) // word 0 is Invalid again: a miss needing an MSHR
+	r.eng.RunFor(40)
+	r.requireSet0(t, addrs, stamps)
+	if r.c.peekLine(line).mshr != nil {
+		t.Fatal("stalled load took an MSHR")
+	}
+	r.fill(other(0))
+	r.eng.RunFor(8)
+	r.fill(line)
+	r.eng.Run()
+	if !done {
+		t.Fatal("stalled load never completed")
+	}
+}
+
+// Parked accesses keep their own 4-cycle phase and their order: when an
+// MSHR frees, the earliest-parked access at the next poll takes it.
+func TestParkedAccessesIssueInOrderAtTheirPhase(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	a0, a1 := other(0), other(1)
+	b, b2, c := other(2), other(3), other(4)
+	r.load(a0, nil)
+	r.load(a1, nil)
+	r.eng.At(1, func() { r.load(b, nil); r.load(b2, nil) }) // polls at 5, 9, 13, ...
+	r.eng.At(2, func() { r.load(c, nil) })                  // polls at 6, 10, 14, ...
+	r.eng.At(11, func() { r.fill(a0) })                     // b, first in its run, takes it at 13
+	r.eng.At(19, func() { r.fill(a1) })                     // b2 takes the next at 21
+	r.eng.At(27, func() { r.fill(b) })                      // c takes the last at 30
+	born := func(name string, line memdata.PAddr, want sim.Cycle) {
+		t.Helper()
+		m := r.c.mshrs[line]
+		if m == nil {
+			t.Fatalf("%s has not issued by cycle %d", name, r.eng.Now())
+		}
+		if m.born != want {
+			t.Errorf("%s issued at cycle %d, want %d", name, m.born, want)
+		}
+	}
+	r.eng.RunUntil(26)
+	born("b", b, 13)
+	born("b2", b2, 21)
+	if r.c.mshrs[c] != nil {
+		t.Fatal("c issued while both MSHRs were busy")
+	}
+	r.eng.RunUntil(40)
+	born("c", c, 30)
+}
+
+// A load waiting for an MSHR stops waiting when a store makes its words
+// readable: it then hits, though every MSHR is still busy.
+func TestParkedLoadHitsAfterStoreToItsLine(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	r.load(other(0), nil) // both MSHRs busy for good
+	r.load(other(1), nil)
+	x := other(2)
+	var done bool
+	r.load(x, &done)                        // parks: no MSHR; polls at 4, 8, ...
+	r.eng.At(2, func() { r.store(x, nil) }) // word 0 becomes PendingReg, so readable
+	r.eng.RunUntil(4 + p.HitLat)
+	if !done {
+		t.Fatal("the parked load did not hit on the word a store made readable")
+	}
+	if r.c.mshrs[x] != nil {
+		t.Fatal("the load took an MSHR for a word it could read")
+	}
+}
+
+// When a member in the middle of a run issues, the members behind it
+// must poll after whatever that success scheduled for their next poll
+// cycle, exactly as if every parked access were its own event.
+func TestSuccessMidRunQueuesLaterMembersBehindIt(t *testing.T) {
+	p := smallParams(2)
+	p.WriteExtra = 3 // a store is accepted HitLat+3 = 4 cycles after it issues
+	r := newStubRig(t, p)
+	a0, a1, b0, b1 := other(0), other(1), other(2), other(3)
+	x, y, z := other(4), other(5), other(6)
+	r.load(a0, nil) // both MSHRs busy
+	r.load(a1, nil)
+	r.store(b0, nil) // both registration slots busy
+	r.store(b1, nil)
+
+	var xFirst, zFirst, accepted bool
+	r.load(x, nil) // parks: no MSHR
+	r.store(y, func() {
+		accepted = true
+		xFirst = r.c.mshrs[x] != nil
+		zFirst = r.c.mshrs[z] != nil
+	}) // parks: no registration slot
+	r.load(z, nil)                                  // parks: no MSHR; x, y, z poll together at 4, 8, 12, 16
+	r.eng.At(9, func() { r.ack(b0) })               // at 12: x fails, y issues, z fails
+	r.eng.At(13, func() { r.fill(a0); r.fill(a1) }) // both MSHRs free before 16
+	r.eng.RunUntil(20)
+	if !accepted {
+		t.Fatal("y was never accepted")
+	}
+	if !xFirst {
+		t.Error("x, ahead of y in the run, had not issued when y's acceptance ran at cycle 16")
+	}
+	if zFirst {
+		t.Error("z, behind y in the run, issued before y's acceptance at cycle 16")
+	}
+	for _, line := range []memdata.PAddr{x, z} {
+		if m := r.c.mshrs[line]; m == nil || m.born != 16 {
+			t.Errorf("line %#x did not issue at cycle 16", line)
+		}
+	}
+}
+
+// A warmed-up storm of parked accesses allocates nothing, whether its
+// runs re-poll (an epoch their wait reads moved) or just move on, and a
+// run costs one engine event per poll however many accesses it holds.
+func TestParkingAllocatesNothing(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	r.load(other(0), nil) // never filled: both MSHRs stay busy
+	r.load(other(1), nil)
+	for i := 0; i < 8; i++ {
+		r.load(other(2+i), nil) // one run of 8
+	}
+	r.eng.At(1, func() {
+		for i := 0; i < 4; i++ {
+			r.load(other(10+i), nil) // a second run of 4
+		}
+	})
+	// A stray fill for a line the cache never requested changes nothing
+	// but the epoch a load waiting for an MSHR reads, so every run
+	// re-polls all its members and parks them again.
+	stir := func() { r.fill(other(100)) }
+	for i := 0; i < 8; i++ {
+		stir()
+		r.eng.RunFor(8)
+	}
+	steps := r.eng.Steps()
+	r.eng.RunFor(400)
+	if got := r.eng.Steps() - steps; got != 200 {
+		t.Errorf("12 parked loads in 2 runs cost %d events over 400 cycles, want 200", got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		stir()
+		r.eng.RunFor(8)
+	}); allocs != 0 {
+		t.Fatalf("parking allocates %.1f objects per storm step, want 0", allocs)
+	}
+	if got := r.c.Outstanding(); got != 2+12 {
+		t.Fatalf("Outstanding = %d, want 14 (2 MSHRs + 12 parked reservation fails)", got)
+	}
+}

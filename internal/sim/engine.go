@@ -115,6 +115,23 @@ func (e *Engine) Pending() int { return e.pending }
 // Steps reports the total number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }
 
+// LastSeq reports the sequence number of the last event pending for
+// cycle t, or 0 when t has none or lies outside the near window
+// [now, now+ringWindow). A component that reads it right after
+// scheduling an event for t can later tell whether that event is still
+// the last one at t: work it appends behind the event then runs exactly
+// where an event of its own, scheduled now, would.
+func (e *Engine) LastSeq(t Cycle) uint64 {
+	if t < e.now || t-e.now >= ringWindow {
+		return 0
+	}
+	b := &e.ring[t&(ringWindow-1)]
+	if b.at != t || b.head == len(b.events) {
+		return 0
+	}
+	return b.events[len(b.events)-1].seq
+}
+
 // Schedule runs fn after delay cycles (delay 0 runs it later in the
 // current cycle, after all previously scheduled same-cycle events).
 func (e *Engine) Schedule(delay Cycle, fn func()) {

@@ -378,6 +378,39 @@ func TestPeekNext(t *testing.T) {
 	}
 }
 
+// LastSeq names the last event pending at a cycle, so a caller can tell
+// whether an event it scheduled there is still the last one.
+func TestLastSeq(t *testing.T) {
+	e := NewEngine()
+	if got := e.LastSeq(4); got != 0 {
+		t.Fatalf("LastSeq on empty engine = %d, want 0", got)
+	}
+	e.Schedule(4, func() {})
+	mine := e.LastSeq(4)
+	if mine == 0 {
+		t.Fatal("LastSeq = 0 right after scheduling at that cycle")
+	}
+	e.Schedule(5, func() {}) // another cycle: still last at 4
+	if got := e.LastSeq(4); got != mine {
+		t.Fatalf("LastSeq(4) = %d after scheduling at 5, want %d", got, mine)
+	}
+	e.Schedule(4, func() {})
+	if got := e.LastSeq(4); got == mine {
+		t.Fatal("LastSeq(4) unchanged after another event was scheduled at 4")
+	}
+	e.Schedule(1000, func() {}) // far heap: outside the window
+	if got := e.LastSeq(1000); got != 0 {
+		t.Fatalf("LastSeq beyond the window = %d, want 0", got)
+	}
+	e.RunUntil(4)
+	if got := e.LastSeq(4); got != 0 {
+		t.Fatalf("LastSeq(4) after its events ran = %d, want 0", got)
+	}
+	if got := e.LastSeq(4 + ringWindow); got != 0 { // first cycle past the window
+		t.Fatalf("LastSeq(now+ringWindow) = %d, want 0", got)
+	}
+}
+
 // RunUntil on an empty engine must not inspect an empty queue: the old
 // implementation peeked unconditionally and relied on the caller's
 // length guard; PeekNext makes the empty case an engine invariant.
