@@ -26,7 +26,14 @@ import (
 // MSHR or registration slot stalls before choosing a victim, so it
 // evicts nothing. Scratch, ScratchG and Cache cells changed results
 // under an unchanged Config; v3 retires their v2 entries.
-const fingerprintVersion = "stash-cell-v3"
+//
+// v4 is the single energy model: every structure charges its array
+// reads and writes as separate classes, with or without a technology
+// axis, so a nil axis prices energy as an explicit "sram" profile does.
+// Stash and StashG cells moved in energy only (fill installs and
+// replication copies are now charged as array writes); v4 retires
+// their v3 entries.
+const fingerprintVersion = "stash-cell-v4"
 
 // Fingerprint returns the cell's content address: a stable hex SHA-256
 // over the workload name and a canonical encoding of the Config. Two

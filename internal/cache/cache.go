@@ -44,12 +44,6 @@ type Params struct {
 	// construction.
 	ReadExtra  sim.Cycle
 	WriteExtra sim.Cycle
-	// TechEnergy switches energy charging from the unified L1Hit/L1Miss
-	// classes to the read/write-split classes (L1ReadHit etc.), so
-	// asymmetric technologies price loads and stores differently. Off by
-	// default: the split classes then stay at zero count, keeping the
-	// default energy total bit-identical.
-	TechEnergy bool
 }
 
 // DefaultParams returns the paper's Table 2 GPU L1 configuration:
@@ -535,28 +529,12 @@ func (r *run) poll() {
 	c.runFree = append(c.runFree, r)
 }
 
-func (c *Cache) chargeAccess(hit, write bool) {
-	if !c.p.ChargeEnergy {
-		return
-	}
-	c.acct.Add(energy.TLBAccess, 1)
-	if c.p.TechEnergy {
-		switch {
-		case hit && !write:
-			c.acct.Add(energy.L1ReadHit, 1)
-		case hit && write:
-			c.acct.Add(energy.L1WriteHit, 1)
-		case !write:
-			c.acct.Add(energy.L1ReadMiss, 1)
-		default:
-			c.acct.Add(energy.L1WriteMiss, 1)
-		}
-		return
-	}
-	if hit {
-		c.acct.Add(energy.L1Hit, 1)
-	} else {
-		c.acct.Add(energy.L1Miss, 1)
+// chargeAccess charges one GPU L1 access of class e and its
+// translation.
+func (c *Cache) chargeAccess(e energy.Event) {
+	if c.p.ChargeEnergy {
+		c.acct.Add(energy.TLBAccess, 1)
+		c.acct.Add(e, 1)
 	}
 }
 
@@ -607,7 +585,7 @@ func (c *Cache) loadWith(l *line, addr memdata.PAddr, mask memdata.WordMask, don
 	fetch := memdata.MaskAll &^ readable
 	if missing == 0 {
 		c.hits.Inc()
-		c.chargeAccess(true, false)
+		c.chargeAccess(energy.L1ReadHit)
 		o := c.newOp()
 		o.kind, o.vals, o.doneL = opDeliver, l.vals, done
 		c.eng.Schedule(c.p.HitLat+c.p.ReadExtra, o.run)
@@ -631,7 +609,7 @@ func (c *Cache) loadWith(l *line, addr memdata.PAddr, mask memdata.WordMask, don
 	c.misses.Inc()
 	c.tsnk.Event(uint64(c.eng.Now()), trace.KMiss, uint64(addr), 0)
 	c.trMisses.Add(uint64(c.eng.Now()), 1)
-	c.chargeAccess(false, false)
+	c.chargeAccess(energy.L1ReadMiss)
 	// A miss fetches the whole line (line-granularity transfer, as in
 	// the paper's line-based DeNovo): unlike the stash, the cache cannot
 	// fetch compactly, which is exactly the Table 1 contrast.
@@ -696,12 +674,12 @@ func (c *Cache) storeWith(l *line, addr memdata.PAddr, mask memdata.WordMask, va
 	}
 	if needReg == 0 {
 		c.hits.Inc()
-		c.chargeAccess(true, true)
+		c.chargeAccess(energy.L1WriteHit)
 	} else {
 		c.misses.Inc()
 		c.tsnk.Event(uint64(c.eng.Now()), trace.KMiss, uint64(addr), 0)
 		c.trMisses.Add(uint64(c.eng.Now()), 1)
-		c.chargeAccess(false, true)
+		c.chargeAccess(energy.L1WriteMiss)
 		pending := c.pendingReg[addr]
 		newReq := needReg &^ pending
 		c.pendingReg[addr] = pending | needReg
@@ -858,11 +836,7 @@ func (c *Cache) serveRemote(p *coh.Packet) {
 			c.node, uint64(p.Line), p.Mask, served))
 	}
 	if c.p.ChargeEnergy {
-		if c.p.TechEnergy {
-			c.acct.Add(energy.L1ReadHit, 1)
-		} else {
-			c.acct.Add(energy.L1Hit, 1)
-		}
+		c.acct.Add(energy.L1ReadHit, 1)
 	}
 	if c.p.ReadExtra > 0 {
 		// Delay the response by the technology's read latency. The pooled

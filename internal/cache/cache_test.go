@@ -234,11 +234,11 @@ func TestEnergyChargedPerTransaction(t *testing.T) {
 	r.mem.StoreWord(0xd000, 1)
 	r.load(r.a, 0xd000)
 	r.load(r.a, 0xd000)
-	if got := r.acct.Count(energy.L1Miss); got != 1 {
-		t.Fatalf("L1 miss energy events = %d, want 1", got)
+	if got := r.acct.Count(energy.L1ReadMiss); got != 1 {
+		t.Fatalf("L1 read miss energy events = %d, want 1", got)
 	}
-	if got := r.acct.Count(energy.L1Hit); got != 1 {
-		t.Fatalf("L1 hit energy events = %d, want 1", got)
+	if got := r.acct.Count(energy.L1ReadHit); got != 1 {
+		t.Fatalf("L1 read hit energy events = %d, want 1", got)
 	}
 	if got := r.acct.Count(energy.TLBAccess); got != 2 {
 		t.Fatalf("TLB events = %d, want 2", got)
@@ -265,7 +265,7 @@ func TestNoEnergyWhenDisabled(t *testing.T) {
 	}
 	c.Load(0, memdata.Bit(0), func([memdata.WordsPerLine]uint32) {})
 	eng.Run()
-	if acct.Count(energy.L1Miss) != 0 || acct.Count(energy.TLBAccess) != 0 {
+	if acct.Count(energy.L1ReadMiss) != 0 || acct.Count(energy.TLBAccess) != 0 {
 		t.Fatal("CPU L1 charged energy despite ChargeEnergy=false")
 	}
 	if acct.Count(energy.NoCFlitHop) == 0 {

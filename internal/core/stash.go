@@ -49,10 +49,6 @@ type Params struct {
 	// pre-technology timing model.
 	ReadExtra  sim.Cycle
 	WriteExtra sim.Cycle
-	// TechEnergy switches energy charging from the unified StashHit
-	// class to the read/write-split classes (StashRead/StashWrite). Off
-	// by default, keeping the default energy total bit-identical.
-	TechEnergy bool
 }
 
 // DefaultParams returns the paper's Table 2 stash configuration.
@@ -660,21 +656,6 @@ func (s *Stash) registerLocalDirty(idx int) {
 
 // --- access path ---
 
-// chargeArray charges n stash array accesses: the unified StashHit
-// class on the default path, or the read/write-split class when a
-// technology profile is active.
-func (s *Stash) chargeArray(write bool, n uint64) {
-	if s.p.TechEnergy {
-		if write {
-			s.acct.Add(energy.StashWrite, n)
-		} else {
-			s.acct.Add(energy.StashRead, n)
-		}
-		return
-	}
-	s.acct.Add(energy.StashHit, n)
-}
-
 // conflictRounds returns the number of serialized bank rounds a warp
 // access needs: the maximum number of distinct word offsets mapping to
 // the same bank (same-offset lanes broadcast for free). Distinct
@@ -752,14 +733,10 @@ func (s *Stash) Load(tb, slot int, offsets []int, done func(vals []uint32)) {
 					s.words[off] = s.words[oldOff]
 					s.state[off] = coh.Shared
 					s.replCopies.Inc()
-					if s.p.TechEnergy {
-						// The intra-stash copy reads the old allocation and
-						// writes the new one.
-						s.acct.Add(energy.StashRead, 1)
-						s.acct.Add(energy.StashWrite, 1)
-					} else {
-						s.acct.Add(energy.StashHit, 1) // intra-stash copy read
-					}
+					// The intra-stash copy reads the old allocation and
+					// writes the new one.
+					s.acct.Add(energy.StashRead, 1)
+					s.acct.Add(energy.StashWrite, 1)
 					continue
 				}
 			}
@@ -770,7 +747,7 @@ func (s *Stash) Load(tb, slot int, offsets []int, done func(vals []uint32)) {
 	rounds := s.conflictRounds(offsets)
 	if len(missing) == 0 {
 		s.hits.Inc()
-		s.chargeArray(false, uint64(rounds))
+		s.acct.Add(energy.StashRead, uint64(rounds))
 		vals := s.gather(offsets)
 		s.eng.Schedule(s.p.HitLat*sim.Cycle(rounds)+s.p.ReadExtra, func() {
 			done(vals)
@@ -783,7 +760,7 @@ func (s *Stash) Load(tb, slot int, offsets []int, done func(vals []uint32)) {
 	s.trMisses.Add(uint64(s.eng.Now()), 1)
 	if len(missing) < len(offsets) {
 		// The hit portion still activates the array.
-		s.chargeArray(false, uint64(rounds))
+		s.acct.Add(energy.StashRead, uint64(rounds))
 	}
 
 	// Miss: translate (six ALU ops through the stash-map plus a VP-map
@@ -942,10 +919,10 @@ func (s *Stash) Store(tb, slot int, offsets []int, vals []uint32, done func()) {
 	lat := s.p.HitLat*sim.Cycle(rounds) + s.p.WriteExtra
 	if !anyMiss {
 		s.hits.Inc()
-		s.chargeArray(true, uint64(rounds))
+		s.acct.Add(energy.StashWrite, uint64(rounds))
 	} else {
 		s.misses.Inc()
-		s.chargeArray(true, uint64(rounds)) // array write itself
+		s.acct.Add(energy.StashWrite, uint64(rounds)) // array write itself
 		// Registration requests are injected in program order, before
 		// any later writeback of the same words can be sent: a WBReq
 		// reaching the LLC ahead of its own RegReq would be dropped as
@@ -1066,7 +1043,7 @@ func (s *Stash) flushChunk(c int) {
 		s.wbuf.Put(wl.line, wl.mask, wl.vals)
 		s.outstanding++
 		// Reading the words out of the array for the writeback.
-		s.chargeArray(false, 1)
+		s.acct.Add(energy.StashRead, 1)
 		coh.Send(s.net, &coh.Packet{
 			Type: coh.WBReq, Line: wl.line, Mask: wl.mask, Vals: wl.vals,
 			SrcNode: s.node, SrcComp: coh.ToStash,
@@ -1243,10 +1220,8 @@ func (s *Stash) fill(p *coh.Packet) {
 			}
 		}
 	}
-	if s.p.TechEnergy {
-		// The fill installs words into the array: one write access.
-		s.acct.Add(energy.StashWrite, 1)
-	}
+	// The fill installs words into the array: one write access.
+	s.acct.Add(energy.StashWrite, 1)
 	m.requested &^= p.Mask
 	remaining := m.waiters[:0]
 	for _, w := range m.waiters {
@@ -1334,7 +1309,7 @@ func (s *Stash) serveRemote(p *coh.Packet) {
 		panic(fmt.Sprintf("core: stash %d cannot serve forwarded read (line %#x mask %v served %v)",
 			s.node, uint64(p.Line), p.Mask, served))
 	}
-	s.chargeArray(false, 1)
+	s.acct.Add(energy.StashRead, 1)
 	if s.p.ReadExtra > 0 {
 		// Delay the response by the technology's read latency, copying
 		// the pooled packet's addressing fields into the closure. All

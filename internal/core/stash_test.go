@@ -477,9 +477,13 @@ func TestEnergyEvents(t *testing.T) {
 	if r.acct.Count(energy.StashMiss) != 1 {
 		t.Fatalf("stash miss events = %d, want 1", r.acct.Count(energy.StashMiss))
 	}
+	// The one fill installs its words in a single array write.
+	if r.acct.Count(energy.StashWrite) != 1 {
+		t.Fatalf("stash write events = %d, want 1 (fill install)", r.acct.Count(energy.StashWrite))
+	}
 	r.load(0, 0, []int{0, 1})
-	if r.acct.Count(energy.StashHit) == 0 {
-		t.Fatal("no stash hit energy charged")
+	if r.acct.Count(energy.StashRead) == 0 {
+		t.Fatal("no stash read energy charged for the hit")
 	}
 	// Hits never touch the TLB (direct addressing) — only the single
 	// miss line did.

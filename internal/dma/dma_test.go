@@ -139,7 +139,8 @@ func TestDMAChargesScratchpadEnergy(t *testing.T) {
 	if r.acct.Count(energy.ScratchAccess) == 0 {
 		t.Fatal("DMA fill did not charge scratchpad accesses")
 	}
-	if r.acct.Count(energy.L1Hit)+r.acct.Count(energy.L1Miss) != 0 {
+	if r.acct.Count(energy.L1ReadHit)+r.acct.Count(energy.L1ReadMiss)+
+		r.acct.Count(energy.L1WriteHit)+r.acct.Count(energy.L1WriteMiss) != 0 {
 		t.Fatal("DMA transfer went through the L1")
 	}
 }

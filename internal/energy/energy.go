@@ -16,38 +16,32 @@ package energy
 type Event int
 
 // Event classes. Each maps to exactly one Component.
+//
+// Storage arrays charge read and write accesses as separate classes,
+// so a memory technology with asymmetric read and write costs (a
+// Config tech axis, DESIGN.md §16) prices each by its own scale. For
+// SRAM a read and a write cost the same, as in the paper's Table 3.
 const (
 	GPUInst       Event = iota // one dynamic GPU instruction (core+, incl. fetch/RF/ALU)
-	L1Hit                      // GPU L1 data cache hit (tag + data + TLB handled separately)
-	L1Miss                     // GPU L1 data cache miss
 	TLBAccess                  // address translation (charged as a hit; see paper fn. 8)
 	ScratchAccess              // scratchpad bank access (no tags, no TLB)
-	StashHit                   // stash hit: data + 2 state bits only
 	StashMiss                  // stash miss: storage + stash-map + translation ALUs
-	L2Access                   // shared L2/LLC bank access
 	NoCFlitHop                 // one flit crossing one mesh link
 	DRAMAccess                 // off-chip access (not in the paper's stacks; cost 0 by default)
-
-	// Read/write-split variants, charged instead of the unified classes
-	// above when a memory-technology profile is active (Config.StashTech
-	// etc.). Non-volatile and eDRAM technologies have asymmetric read and
-	// write energies, which the unified classes cannot express. Default
-	// costs equal the corresponding unified class, and the default (SRAM)
-	// path never charges them, so golden metrics are unaffected.
-	StashRead   // stash array read (hit-path data read, writeback drain, remote serve)
-	StashWrite  // stash array write (store data write, fill install, replication copy)
-	L1ReadHit   // L1 load hit
-	L1WriteHit  // L1 store hit
-	L1ReadMiss  // L1 load miss
-	L1WriteMiss // L1 store miss
-	L2Read      // LLC bank read access (ReadReq)
-	L2Write     // LLC bank write access (WriteReq/WBReq/RegReq)
+	StashRead                  // stash array read (hit-path data read, writeback drain, remote serve, replication source)
+	StashWrite                 // stash array write (store data write, fill install, replication copy)
+	L1ReadHit                  // GPU L1 load hit (tag + data; TLB charged separately)
+	L1WriteHit                 // GPU L1 store hit
+	L1ReadMiss                 // GPU L1 load miss
+	L1WriteMiss                // GPU L1 store miss
+	L2Read                     // LLC bank read access (ReadReq)
+	L2Write                    // LLC bank write access (WriteReq/WBReq/RegReq)
 	numEvents
 )
 
 var eventNames = [numEvents]string{
-	"gpu_inst", "l1_hit", "l1_miss", "tlb_access", "scratch_access",
-	"stash_hit", "stash_miss", "l2_access", "noc_flit_hop", "dram_access",
+	"gpu_inst", "tlb_access", "scratch_access", "stash_miss",
+	"noc_flit_hop", "dram_access",
 	"stash_read", "stash_write", "l1_read_hit", "l1_write_hit",
 	"l1_read_miss", "l1_write_miss", "l2_read", "l2_write",
 }
@@ -79,13 +73,9 @@ func (c Component) String() string { return componentNames[c] }
 
 var eventComponent = [numEvents]Component{
 	GPUInst:       GPUCore,
-	L1Hit:         L1,
-	L1Miss:        L1,
 	TLBAccess:     L1,
 	ScratchAccess: ScratchStash,
-	StashHit:      ScratchStash,
 	StashMiss:     ScratchStash,
-	L2Access:      L2,
 	NoCFlitHop:    NoC,
 	DRAMAccess:    DRAM,
 	StashRead:     ScratchStash,
@@ -113,25 +103,18 @@ func DefaultCosts() Costs {
 	// instruction in the hundreds of pJ. 220 pJ reproduces the paper's
 	// Figure 5b proportions, where "GPU core+" is the largest component.
 	c[GPUInst] = 220.0
-	c[L1Hit] = 177.0
-	c[L1Miss] = 197.0
 	c[TLBAccess] = 14.1
 	c[ScratchAccess] = 55.3
-	c[StashHit] = 55.4
 	c[StashMiss] = 86.8
-	c[L2Access] = 240.0
 	c[NoCFlitHop] = 10.0
 	c[DRAMAccess] = 0 // not part of the paper's dynamic-energy stacks
-	// Split variants default to the unified value: for SRAM, reads and
-	// writes cost the same. Technology profiles rescale these per axis.
-	c[StashRead] = c[StashHit]
-	c[StashWrite] = c[StashHit]
-	c[L1ReadHit] = c[L1Hit]
-	c[L1WriteHit] = c[L1Hit]
-	c[L1ReadMiss] = c[L1Miss]
-	c[L1WriteMiss] = c[L1Miss]
-	c[L2Read] = c[L2Access]
-	c[L2Write] = c[L2Access]
+	// Table 3 gives one hit and one miss energy per array; for SRAM a
+	// read and a write cost the same. Technology profiles rescale the
+	// read and write classes per axis.
+	c[StashRead], c[StashWrite] = 55.4, 55.4
+	c[L1ReadHit], c[L1WriteHit] = 177.0, 177.0
+	c[L1ReadMiss], c[L1WriteMiss] = 197.0, 197.0
+	c[L2Read], c[L2Write] = 240.0, 240.0
 	return c
 }
 

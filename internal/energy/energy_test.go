@@ -8,16 +8,20 @@ import (
 
 func TestDefaultCostsMatchPaperTable3(t *testing.T) {
 	c := DefaultCosts()
-	// Paper Table 3 values, exactly.
+	// Paper Table 3 values, exactly. Table 3 gives one hit energy per
+	// array; for SRAM a read and a write both cost it.
 	cases := []struct {
 		e    Event
 		want float64
 	}{
 		{ScratchAccess, 55.3},
-		{StashHit, 55.4},
+		{StashRead, 55.4},
+		{StashWrite, 55.4},
 		{StashMiss, 86.8},
-		{L1Hit, 177.0},
-		{L1Miss, 197.0},
+		{L1ReadHit, 177.0},
+		{L1WriteHit, 177.0},
+		{L1ReadMiss, 197.0},
+		{L1WriteMiss, 197.0},
 		{TLBAccess, 14.1},
 	}
 	for _, tc := range cases {
@@ -30,29 +34,33 @@ func TestDefaultCostsMatchPaperTable3(t *testing.T) {
 func TestPaperEnergyRelations(t *testing.T) {
 	c := DefaultCosts()
 	// "scratchpad access energy is 29% of the L1 cache hit energy"
-	if r := c[ScratchAccess] / c[L1Hit]; math.Abs(r-0.31) > 0.03 {
+	if r := c[ScratchAccess] / c[L1ReadHit]; math.Abs(r-0.31) > 0.03 {
 		t.Errorf("scratch/L1 hit ratio = %.2f, want ~0.31 (paper: 29%% incl. TLB)", r)
 	}
 	// "stash's miss energy is 41% of the L1 cache miss energy"
-	if r := c[StashMiss] / c[L1Miss]; math.Abs(r-0.44) > 0.04 {
+	if r := c[StashMiss] / c[L1ReadMiss]; math.Abs(r-0.44) > 0.04 {
 		t.Errorf("stash miss/L1 miss ratio = %.2f, want ~0.44", r)
 	}
 	// "Stash's hit energy is comparable to that of scratchpad."
-	if math.Abs(c[StashHit]-c[ScratchAccess]) > 1.0 {
-		t.Errorf("stash hit %.1f vs scratch %.1f: not comparable", c[StashHit], c[ScratchAccess])
+	if math.Abs(c[StashRead]-c[ScratchAccess]) > 1.0 {
+		t.Errorf("stash hit %.1f vs scratch %.1f: not comparable", c[StashRead], c[ScratchAccess])
 	}
 }
 
 func TestEventComponentMapping(t *testing.T) {
 	cases := map[Event]Component{
 		GPUInst:       GPUCore,
-		L1Hit:         L1,
-		L1Miss:        L1,
+		L1ReadHit:     L1,
+		L1WriteHit:    L1,
+		L1ReadMiss:    L1,
+		L1WriteMiss:   L1,
 		TLBAccess:     L1,
 		ScratchAccess: ScratchStash,
-		StashHit:      ScratchStash,
+		StashRead:     ScratchStash,
+		StashWrite:    ScratchStash,
 		StashMiss:     ScratchStash,
-		L2Access:      L2,
+		L2Read:        L2,
+		L2Write:       L2,
 		NoCFlitHop:    NoC,
 		DRAMAccess:    DRAM,
 	}
@@ -65,10 +73,10 @@ func TestEventComponentMapping(t *testing.T) {
 
 func TestAccountAccumulation(t *testing.T) {
 	a := NewAccount(DefaultCosts())
-	a.Add(StashHit, 10)
+	a.Add(StashRead, 10)
 	a.Add(StashMiss, 2)
-	if a.Count(StashHit) != 10 {
-		t.Fatalf("Count = %d, want 10", a.Count(StashHit))
+	if a.Count(StashRead) != 10 {
+		t.Fatalf("Count = %d, want 10", a.Count(StashRead))
 	}
 	want := 10*55.4 + 2*86.8
 	if got := a.TotalPJ(); math.Abs(got-want) > 1e-9 {
@@ -101,8 +109,8 @@ func TestBreakdownSumsToTotalProperty(t *testing.T) {
 }
 
 func TestEventAndComponentNames(t *testing.T) {
-	if StashHit.String() != "stash_hit" {
-		t.Errorf("StashHit.String() = %q", StashHit.String())
+	if StashRead.String() != "stash_read" {
+		t.Errorf("StashRead.String() = %q", StashRead.String())
 	}
 	if ScratchStash.String() != "Scratch/Stash" {
 		t.Errorf("ScratchStash.String() = %q", ScratchStash.String())
@@ -120,39 +128,10 @@ func TestEventAndComponentNames(t *testing.T) {
 	}
 }
 
-func TestSplitEventDefaults(t *testing.T) {
-	c := DefaultCosts()
-	// Split read/write variants default to the unified class: SRAM reads
-	// and writes cost the same, so re-pricing a run through the splits is
-	// energy-neutral until a technology rescales them.
-	for _, pair := range [][2]Event{
-		{StashRead, StashHit}, {StashWrite, StashHit},
-		{L1ReadHit, L1Hit}, {L1WriteHit, L1Hit},
-		{L1ReadMiss, L1Miss}, {L1WriteMiss, L1Miss},
-		{L2Read, L2Access}, {L2Write, L2Access},
-	} {
-		if c[pair[0]] != c[pair[1]] {
-			t.Errorf("default cost[%v] = %v, want unified cost[%v] = %v", pair[0], c[pair[0]], pair[1], c[pair[1]])
-		}
-	}
-	// Splits attribute to the same stacked-bar component as the class
-	// they refine, so Figure 5b/6b stacks stay well-formed under tech.
-	for split, unified := range map[Event]Event{
-		StashRead: StashHit, StashWrite: StashHit,
-		L1ReadHit: L1Hit, L1WriteHit: L1Hit,
-		L1ReadMiss: L1Miss, L1WriteMiss: L1Miss,
-		L2Read: L2Access, L2Write: L2Access,
-	} {
-		if ComponentOf(split) != ComponentOf(unified) {
-			t.Errorf("ComponentOf(%v) = %v, want %v's component %v", split, ComponentOf(split), unified, ComponentOf(unified))
-		}
-	}
-}
-
 // TestAccountCustomCosts prices the same counts under a non-default,
 // write-asymmetric cost table (an STT-MRAM-like technology) and checks
 // total, per-component attribution, and that untouched classes keep
-// their unified pricing.
+// their Table 3 pricing.
 func TestAccountCustomCosts(t *testing.T) {
 	costs := DefaultCosts()
 	costs[StashRead] = 72.0   // 55.4 * 1.3, rounded for exactness
@@ -165,9 +144,9 @@ func TestAccountCustomCosts(t *testing.T) {
 	a.Add(L2Read, 2)
 	a.Add(L2Write, 1)
 	a.Add(GPUInst, 5)
-	a.Add(StashHit, 4) // legacy class still prices at Table 3
+	a.Add(StashMiss, 4) // untouched class still prices at Table 3
 
-	wantStash := 7*72.0 + 3*332.4 + 4*55.4
+	wantStash := 7*72.0 + 3*332.4 + 4*86.8
 	wantL2 := 2*100.5 + 1*990.25
 	wantCore := 5 * 220.0
 	if got := a.ComponentPJ(ScratchStash); math.Abs(got-wantStash) > 1e-9 {

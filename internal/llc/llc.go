@@ -41,10 +41,6 @@ type Params struct {
 	// bit-identical to the pre-technology timing model.
 	ReadExtra  sim.Cycle
 	WriteExtra sim.Cycle
-	// TechEnergy switches energy charging from the unified L2Access
-	// class to the read/write-split classes (L2Read/L2Write). Off by
-	// default, keeping the default energy total bit-identical.
-	TechEnergy bool
 }
 
 // DefaultParams returns the paper's Table 2 L2 configuration: 4 MB
@@ -355,24 +351,16 @@ func (b *Bank) HandlePacket(p *coh.Packet) {
 	}
 	b.inFlight++
 	b.trRequests.Add(uint64(b.eng.Now()), 1)
-	extra := b.p.WriteExtra
+	extra, access := b.p.WriteExtra, energy.L2Write
 	if p.Type == coh.ReadReq {
-		extra = b.p.ReadExtra
+		extra, access = b.p.ReadExtra, energy.L2Read
 	}
 	start := b.eng.Now() + stallBy
 	if b.nextFree > start {
 		start = b.nextFree
 	}
 	b.nextFree = start + b.p.OccupyLat + extra
-	if b.p.TechEnergy {
-		if p.Type == coh.ReadReq {
-			b.acct.Add(energy.L2Read, 1)
-		} else {
-			b.acct.Add(energy.L2Write, 1)
-		}
-	} else {
-		b.acct.Add(energy.L2Access, 1)
-	}
+	b.acct.Add(access, 1)
 	o := b.newOp()
 	o.pkt = *p
 	b.eng.At(start+b.p.AccessLat+extra, o.run)

@@ -289,7 +289,7 @@ func TestL2EnergyCharged(t *testing.T) {
 	r.send(&coh.Packet{Type: coh.ReadReq, Line: 0x40, Mask: memdata.Bit(0),
 		SrcNode: 5, SrcComp: coh.ToL1, MapIdx: -1})
 	r.eng.Run()
-	if r.acct.Count(energy.L2Access) != 1 {
-		t.Fatalf("L2 accesses = %d, want 1", r.acct.Count(energy.L2Access))
+	if r.acct.Count(energy.L2Read) != 1 || r.acct.Count(energy.L2Write) != 0 {
+		t.Fatalf("L2 reads/writes = %d/%d, want 1/0", r.acct.Count(energy.L2Read), r.acct.Count(energy.L2Write))
 	}
 }

@@ -243,7 +243,7 @@ func New(cfg Config) *System {
 			l1p.ChargeEnergy = false // paper: CPU L1 energy not measured
 			// The technology axes model the GPU-side storage hierarchy
 			// (plus the shared LLC); CPU L1s stay at the SRAM baseline.
-			l1p.ReadExtra, l1p.WriteExtra, l1p.TechEnergy = 0, 0, false
+			l1p.ReadExtra, l1p.WriteExtra = 0, 0
 			l1 := cache.New(eng, net, n, name, l1p, acct, set)
 			router.Attach(coh.ToL1, l1)
 			s.l1s[n] = l1

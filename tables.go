@@ -96,8 +96,8 @@ func AccessEnergies() []AccessEnergy {
 	c := energy.DefaultCosts()
 	return []AccessEnergy{
 		{Unit: "Scratchpad", HitPJ: c[energy.ScratchAccess]},
-		{Unit: "Stash", HitPJ: c[energy.StashHit], MissPJ: c[energy.StashMiss], HasMissEntry: true},
-		{Unit: "L1 cache", HitPJ: c[energy.L1Hit], MissPJ: c[energy.L1Miss], HasMissEntry: true},
+		{Unit: "Stash", HitPJ: c[energy.StashRead], MissPJ: c[energy.StashMiss], HasMissEntry: true},
+		{Unit: "L1 cache", HitPJ: c[energy.L1ReadHit], MissPJ: c[energy.L1ReadMiss], HasMissEntry: true},
 		{Unit: "TLB access", HitPJ: c[energy.TLBAccess], MissPJ: c[energy.TLBAccess], HasMissEntry: true},
 	}
 }

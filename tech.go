@@ -11,15 +11,15 @@ import (
 
 // TechSpec selects a memory technology for one storage structure (the
 // stash, the GPU L1s, or the LLC), as a named profile, inline parameter
-// overrides, or both. The zero-valued spec — and, importantly, a nil
-// *TechSpec field on Config — is the SRAM baseline; nil keeps runs
-// bit-identical to the pre-technology timing model and preserves the
-// configuration's cell-cache fingerprint.
+// overrides, or both. A nil *TechSpec field on Config is plain SRAM: it
+// simulates exactly as an explicit "sram" profile does, reports no
+// leakage, and leaves the configuration's cell-cache fingerprint as it
+// was before the technology axes existed. The zero-valued spec is the
+// same identity under the name "custom".
 //
-// Non-nil specs are a versioned timing-model extension: they change
-// cycle counts and energy through asymmetric read/write latency deltas
-// and energy scales, and their expected metrics are pinned by
-// testdata/golden_tech.json rather than the default golden vectors.
+// Other specs change cycle counts and energy through asymmetric
+// read/write latency deltas and energy scales; their expected metrics
+// are pinned by testdata/golden_tech.json.
 type TechSpec struct {
 	// Profile names a registered technology profile ("sram", "stt-mram",
 	// "edram") supplying the baseline parameters. Empty starts from a
@@ -49,10 +49,10 @@ type TechSpec struct {
 // they only reject mis-specifications (e.g. a latency that would
 // dominate every run and trip the watchdog).
 const (
-	maxTechLatDelta    = 1024
-	maxTechEnergyScale = 1024.0
-	maxTechLeakage     = 1024.0 // mW/KB
-	maxTechCapacityKB  = 1 << 16
+	maxTechLatDelta   = 1024
+	maxTechScale      = 1024.0
+	maxTechLeakage    = 1024.0 // mW/KB
+	maxTechCapacityKB = 1 << 16
 )
 
 // resolve merges the named profile with the inline overrides and
@@ -89,8 +89,8 @@ func (t *TechSpec) resolve() (tech.Profile, error) {
 	if p.ReadEnergyScale <= 0 || p.WriteEnergyScale <= 0 {
 		return tech.Profile{}, fmt.Errorf("energy scales must be positive")
 	}
-	if p.ReadEnergyScale > maxTechEnergyScale || p.WriteEnergyScale > maxTechEnergyScale {
-		return tech.Profile{}, fmt.Errorf("energy scales must be at most %g", maxTechEnergyScale)
+	if p.ReadEnergyScale > maxTechScale || p.WriteEnergyScale > maxTechScale {
+		return tech.Profile{}, fmt.Errorf("energy scales must be at most %g", maxTechScale)
 	}
 	if p.LeakageMWPerKB > maxTechLeakage {
 		return tech.Profile{}, fmt.Errorf("leakage must be at most %g mW/KB", maxTechLeakage)
@@ -136,10 +136,9 @@ func (c Config) validateTech() error {
 }
 
 // applyTech lowers the technology axes onto the simulator config:
-// latency extras and split-energy charging on the structure parameters,
-// per-access cost scaling on the cost table, capacity overrides, and
-// per-cycle leakage for the static-energy report. Validate has already
-// accepted the specs.
+// latency extras on the structure parameters, read and write cost
+// scaling on the cost table, capacity overrides, and per-cycle leakage
+// for the static-energy report. Validate has already accepted the specs.
 func (c Config) applyTech(cfg *system.Config) {
 	if t := c.StashTech; t != nil {
 		p, _ := t.resolve()
@@ -148,7 +147,6 @@ func (c Config) applyTech(cfg *system.Config) {
 		}
 		cfg.Stash.ReadExtra = sim.Cycle(p.ReadLatDelta)
 		cfg.Stash.WriteExtra = sim.Cycle(p.WriteLatDelta)
-		cfg.Stash.TechEnergy = true
 		cfg.Costs[energy.StashRead] *= p.ReadEnergyScale
 		cfg.Costs[energy.StashWrite] *= p.WriteEnergyScale
 		if c.Org.internal().HasStash() {
@@ -163,7 +161,6 @@ func (c Config) applyTech(cfg *system.Config) {
 		}
 		cfg.L1.ReadExtra = sim.Cycle(p.ReadLatDelta)
 		cfg.L1.WriteExtra = sim.Cycle(p.WriteLatDelta)
-		cfg.L1.TechEnergy = true
 		cfg.Costs[energy.L1ReadHit] *= p.ReadEnergyScale
 		cfg.Costs[energy.L1ReadMiss] *= p.ReadEnergyScale
 		cfg.Costs[energy.L1WriteHit] *= p.WriteEnergyScale
@@ -180,7 +177,6 @@ func (c Config) applyTech(cfg *system.Config) {
 		}
 		cfg.L2.ReadExtra = sim.Cycle(p.ReadLatDelta)
 		cfg.L2.WriteExtra = sim.Cycle(p.WriteLatDelta)
-		cfg.L2.TechEnergy = true
 		cfg.Costs[energy.L2Read] *= p.ReadEnergyScale
 		cfg.Costs[energy.L2Write] *= p.WriteEnergyScale
 		kb := float64(cfg.L2.BankBytes) / 1024
@@ -219,8 +215,8 @@ func (c Config) LocalMemKB() int {
 // stash capacity points into sweep RunSpecs — the design-space grids of
 // a HOPE-style exploration. Every cell carries an explicit profile on
 // the stash (where the organization has one) and the GPU L1 axes, so
-// energy is priced through the read/write-split classes uniformly
-// across the grid; the LLC stays at the shared SRAM baseline.
+// every cell reports those structures' leakage (a nil axis reports
+// none); the LLC stays at the shared SRAM baseline.
 // Organizations without a stash ignore the capacity axis (one cell per
 // technology instead of one per capacity point), so the grid never
 // contains duplicate cells. The spec order is deterministic: row-major

@@ -1,6 +1,7 @@
 package stash
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,7 @@ import (
 // cells spanning both machine shapes and several organizations, first
 // captured immediately before the technology axes were added to Config
 // and repinned at each fingerprintVersion bump since (now
-// stash-cell-v3). Absent (nil) tech fields must keep every pre-existing
+// stash-cell-v4). Absent (nil) tech fields must keep every pre-existing
 // cell-cache entry valid, so these hashes must never move without a
 // fingerprintVersion bump.
 func TestTechFingerprintsUnchangedWithoutTechAxes(t *testing.T) {
@@ -22,16 +23,16 @@ func TestTechFingerprintsUnchangedWithoutTechAxes(t *testing.T) {
 	}{
 		{"implicit/MicroConfig(Stash)",
 			RunSpec{Workload: "implicit", Config: MicroConfig(Stash)},
-			"54b33d65ae47b86da3eb3af90dddc4b7e0fb7a6094404cab8467d5f476c23c70"},
+			"6f34f56331fd590f588677faf8aee9e6513e19515942264b644638ffa2e6e8aa"},
 		{"lud/AppConfig(StashG)",
 			RunSpec{Workload: "lud", Config: AppConfig(StashG)},
-			"438c57d149b430d2aa3163389778c77d5a4f2b9bbee4ab5edc6f7fa01c74a58a"},
+			"4e00c943c32d2e2d62555bd2ba11e97fd3eedb8d84670cefb64d437c8f6959df"},
 		{"reuse/MicroConfig(Cache)",
 			RunSpec{Workload: "reuse", Config: MicroConfig(Cache)},
-			"64aa1666372d8aed2424f3fb4f05de0501f7d642fa94c1d8d85249e73252e280"},
+			"1d8503f9500c43742603ef81c856d2ad8cd10733adcf508f2776adcbdd54b8ce"},
 		{"sgemm/AppConfig(Scratch)+ChunkWords=4",
 			RunSpec{Workload: "sgemm", Config: chunk4},
-			"4694668d99a3461534ede18bf38f705daf87476a4301ce3213fb4239a1a46e2e"},
+			"00c715162ca6691242478aa098ee91ebf5bc9ce4a193bc381545d6298952d774"},
 	} {
 		fp, err := tc.spec.Fingerprint()
 		if err != nil {
@@ -150,16 +151,13 @@ func TestTechSpecValidation(t *testing.T) {
 	}
 }
 
-// TestTechSRAMProfileKeepsMetrics runs cells with and without an
-// explicit "sram" profile. SRAM is the identity technology for timing,
-// so cycle counts must be bit-identical; energy accounting switches to
-// the refined read/write-split classes. On a pure cache hierarchy the
-// splits partition the unified events exactly (same costs, same counts),
-// so energy is bit-equal too; on a stash the refined model additionally
-// prices fill writes into the data array, so its energy is strictly
-// higher than the legacy unified accounting.
+// TestTechSRAMProfileKeepsMetrics runs every organization with and
+// without an explicit "sram" profile on all three technology axes. A
+// nil axis is plain SRAM, so cycles and every dynamic-energy figure
+// must be identical; only the leakage report differs, which nil axes
+// do not produce.
 func TestTechSRAMProfileKeepsMetrics(t *testing.T) {
-	withSRAM := func(org MemOrg) (Result, Result) {
+	for _, org := range Orgs() {
 		base, err := RunWorkload("implicit", org)
 		if err != nil {
 			t.Fatal(err)
@@ -172,47 +170,23 @@ func TestTechSRAMProfileKeepsMetrics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got, base
-	}
-
-	got, base := withSRAM(Cache)
-	if got.Cycles != base.Cycles {
-		t.Errorf("Cache: sram profile changed cycles: %d vs %d", got.Cycles, base.Cycles)
-	}
-	if got.EnergyPJ != base.EnergyPJ {
-		t.Errorf("Cache: sram profile changed energy: %v vs %v pJ (splits must partition the unified classes exactly)", got.EnergyPJ, base.EnergyPJ)
-	}
-	if got.EnergyEvents["l1_read_hit"] != base.EnergyEvents["l1_hit"] {
-		t.Errorf("l1_read_hit %d should equal legacy l1_hit %d on this workload", got.EnergyEvents["l1_read_hit"], base.EnergyEvents["l1_hit"])
-	}
-	if rm, wm := got.EnergyEvents["l1_read_miss"], got.EnergyEvents["l1_write_miss"]; rm+wm != base.EnergyEvents["l1_miss"] {
-		t.Errorf("l1 miss splits %d+%d should partition legacy l1_miss %d", rm, wm, base.EnergyEvents["l1_miss"])
-	}
-	if r, w := got.EnergyEvents["l2_read"], got.EnergyEvents["l2_write"]; r+w != base.EnergyEvents["l2_access"] {
-		t.Errorf("l2 splits %d+%d should partition legacy l2_access %d", r, w, base.EnergyEvents["l2_access"])
-	}
-
-	got, base = withSRAM(Stash)
-	if got.Cycles != base.Cycles {
-		t.Errorf("Stash: sram profile changed cycles: %d vs %d", got.Cycles, base.Cycles)
-	}
-	if got.EnergyPJ <= base.EnergyPJ {
-		t.Errorf("Stash: refined accounting prices fill writes, so energy %v should exceed legacy %v", got.EnergyPJ, base.EnergyPJ)
-	}
-	if got.StaticEnergyPJ == 0 {
-		t.Error("sram profile has nonzero leakage but StaticEnergyPJ is 0")
-	}
-	for _, split := range []string{"stash_read", "stash_write", "l2_read", "l2_write"} {
-		if got.EnergyEvents[split] == 0 {
-			t.Errorf("split event %s not charged under an explicit profile", split)
+		if got.Cycles != base.Cycles {
+			t.Errorf("%v: sram profile changed cycles: %d vs %d", org, got.Cycles, base.Cycles)
 		}
-		if base.EnergyEvents[split] != 0 {
-			t.Errorf("split event %s charged on the default path", split)
+		if got.EnergyPJ != base.EnergyPJ {
+			t.Errorf("%v: sram profile changed energy: %v vs %v pJ", org, got.EnergyPJ, base.EnergyPJ)
 		}
-	}
-	for _, unified := range []string{"stash_hit", "l2_access"} {
-		if got.EnergyEvents[unified] != 0 {
-			t.Errorf("unified event %s still charged under an explicit profile", unified)
+		if !reflect.DeepEqual(got.EnergyEvents, base.EnergyEvents) {
+			t.Errorf("%v: sram profile changed energy events:\n got %v\nwant %v", org, got.EnergyEvents, base.EnergyEvents)
+		}
+		if !reflect.DeepEqual(got.EnergyByComponent, base.EnergyByComponent) {
+			t.Errorf("%v: sram profile changed energy components:\n got %v\nwant %v", org, got.EnergyByComponent, base.EnergyByComponent)
+		}
+		if base.StaticEnergyPJ != 0 {
+			t.Errorf("%v: nil tech axes reported leakage %v pJ", org, base.StaticEnergyPJ)
+		}
+		if got.StaticEnergyPJ == 0 {
+			t.Errorf("%v: sram profile has nonzero leakage but StaticEnergyPJ is 0", org)
 		}
 	}
 }
