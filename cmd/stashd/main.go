@@ -78,7 +78,6 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -87,6 +86,10 @@ import (
 	"stash/internal/cluster"
 	"stash/internal/serve"
 )
+
+// defaultCacheSpec is -cache's default: a memory-only cache, which
+// cellcache bounds at 4096 entries and 256 MiB.
+const defaultCacheSpec = "memory://"
 
 func main() {
 	addr := flag.String("addr", ":8341", "listen address")
@@ -102,10 +105,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "cells queued for a worker before requests are shed with 429 (0 = 4x max-cells, -1 = unbounded)")
 	maxDeadline := flag.Duration("max-deadline", 0, "cap on per-request X-Stashd-Deadline simulation budgets (0 = unbounded)")
 	tenantSlots := flag.Int("tenant-slots", 0, "concurrently simulating cells per namespace (0 = workers-1, -1 = unbounded)")
-	cacheSpec := flag.String("cache", "", "cache engine spec URL, e.g. memory://?entries=4096&bytes=256MiB, log:///var/lib/stashd, pairtree:///data?compress=gzip&ttl=24h, remote+memory://?peers=...")
-	cacheEntries := flag.Int("cache-entries", 4096, "deprecated: use -cache memory://?entries=N")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "deprecated: use -cache memory://?bytes=N")
-	cacheDir := flag.String("cache-dir", "", "deprecated: use -cache log://DIR")
+	cacheSpec := flag.String("cache", defaultCacheSpec, "cache engine spec URL, e.g. memory://?entries=4096&bytes=256MiB, log:///var/lib/stashd, pairtree:///data?compress=gzip&ttl=24h, remote+memory://?peers=...")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long in-flight requests may finish after SIGTERM")
 	version := cliutil.VersionFlag()
 	flag.Parse()
@@ -115,7 +115,7 @@ func main() {
 
 	switch *role {
 	case "coordinator":
-		if offending := visitedFlags("cache", "cache-entries", "cache-bytes", "cache-dir", "workers", "cell-timeout", "retries", "tenant-slots"); len(offending) > 0 {
+		if offending := visitedFlags("cache", "workers", "cell-timeout", "retries", "tenant-slots"); len(offending) > 0 {
 			log.Fatalf("-role coordinator holds no cache and runs no simulations; configure %s on the shards", strings.Join(offending, ", "))
 		}
 		shards, err := resolveShards(*shardList, *ringFile)
@@ -140,7 +140,7 @@ func main() {
 			log.Fatalf("%s require -role coordinator", strings.Join(offending, ", "))
 		}
 		runNode(*addr, *workers, *maxCells, *cellTimeout, *retries, *maxQueue, *maxDeadline,
-			*tenantSlots, *cacheSpec, *cacheEntries, *cacheBytes, *cacheDir, *drainTimeout)
+			*tenantSlots, *cacheSpec, *drainTimeout)
 
 	default:
 		log.Fatalf("unknown -role %q (want node or coordinator)", *role)
@@ -148,10 +148,8 @@ func main() {
 }
 
 func runNode(addr string, workers, maxCells int, cellTimeout time.Duration, retries, maxQueue int,
-	maxDeadline time.Duration, tenantSlots int, cacheSpec string, cacheEntries int, cacheBytes int64,
-	cacheDir string, drainTimeout time.Duration) {
-	spec, err := resolveCacheSpec(cacheSpec, cacheEntries, cacheBytes, cacheDir,
-		visitedFlags("cache-entries", "cache-bytes", "cache-dir"), log.Printf)
+	maxDeadline time.Duration, tenantSlots int, cacheSpec string, drainTimeout time.Duration) {
+	spec, err := cellcache.ParseSpec(cacheSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -267,35 +265,4 @@ func resolveShards(shardList, ringFile string) ([]string, error) {
 	default:
 		return nil, fmt.Errorf("-role coordinator requires -shards host1,host2,... or -ring FILE")
 	}
-}
-
-// deprecationOnce collapses the legacy cache-flag warning to a single
-// line per process, no matter how the aliases are combined.
-var deprecationOnce sync.Once
-
-// resolveCacheSpec merges the -cache engine-spec URL with the
-// deprecated -cache-entries/-cache-bytes/-cache-dir aliases (legacy
-// holds the ones actually set). The old flags keep their exact
-// pre-spec semantics (-cache-dir picks the append-only log engine) but
-// may not be combined with -cache: one source of truth, no silent
-// overrides. Using any alias warns once per process, naming the
-// equivalent -cache spec to migrate to.
-func resolveCacheSpec(raw string, entries int, bytes int64, dir string, legacy []string, warnf func(string, ...any)) (cellcache.Spec, error) {
-	if raw != "" {
-		if len(legacy) > 0 {
-			return cellcache.Spec{}, fmt.Errorf("-cache cannot be combined with deprecated %s; fold them into the spec URL", strings.Join(legacy, ", "))
-		}
-		return cellcache.ParseSpec(raw)
-	}
-	sp := cellcache.Spec{Scheme: "memory", Entries: entries, Bytes: bytes}
-	if dir != "" {
-		sp.Scheme = "log"
-		sp.Path = dir
-	}
-	if len(legacy) > 0 {
-		deprecationOnce.Do(func() {
-			warnf("deprecated: %s will be removed; use the equivalent -cache '%s'", strings.Join(legacy, ", "), sp.String())
-		})
-	}
-	return sp, nil
 }

@@ -5,102 +5,34 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
+
+	"stash/internal/cellcache"
 )
 
-// resetDeprecationOnce lets each test observe the once-per-process
-// warning independently.
-func resetDeprecationOnce() { deprecationOnce = sync.Once{} }
-
-func TestResolveCacheSpecRejectsConflicts(t *testing.T) {
-	for _, legacy := range [][]string{
-		{"-cache-entries"},
-		{"-cache-dir"},
-		{"-cache-entries", "-cache-bytes", "-cache-dir"},
-	} {
-		_, err := resolveCacheSpec("memory://?entries=8", 4096, 256<<20, "", legacy,
-			func(string, ...any) { t.Errorf("conflict %v still warned", legacy) })
-		if err == nil {
-			t.Fatalf("legacy %v combined with -cache: want error, got none", legacy)
+// TestDefaultCacheSpecIsBoundedMemory opens -cache's default value: a
+// memory-only cache that keeps at most 4096 entries.
+func TestDefaultCacheSpecIsBoundedMemory(t *testing.T) {
+	sp, err := cellcache.ParseSpec(defaultCacheSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.Scheme != "memory" || sp.Entries != 0 || sp.Bytes != 0 || sp.Fault != nil || sp.Remote != nil {
+		t.Fatalf("default spec = %+v, want plain memory:// with default bounds", sp)
+	}
+	c, err := sp.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i <= 4096; i++ {
+		if err := c.Put("public", fmt.Sprint(i), []byte{1}); err != nil {
+			t.Fatal(err)
 		}
-		for _, name := range legacy {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("conflict error %q does not name %s", err, name)
-			}
-		}
 	}
-}
-
-func TestResolveCacheSpecLegacyAliases(t *testing.T) {
-	defer resetDeprecationOnce()
-	resetDeprecationOnce()
-	var warnings []string
-	warnf := func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-	}
-
-	sp, err := resolveCacheSpec("", 99, 1<<20, "", []string{"-cache-entries", "-cache-bytes"}, warnf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Scheme != "memory" || sp.Entries != 99 || sp.Bytes != 1<<20 {
-		t.Fatalf("legacy memory spec = %+v", sp)
-	}
-
-	// The aliases collapse to ONE warning per process, however many
-	// times boot-path code resolves the spec.
-	sp2, err := resolveCacheSpec("", 4096, 256<<20, "/var/lib/stashd", []string{"-cache-dir"}, warnf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp2.Scheme != "log" || sp2.Path != "/var/lib/stashd" {
-		t.Fatalf("legacy log spec = %+v", sp2)
-	}
-	if len(warnings) != 1 {
-		t.Fatalf("deprecation warned %d times, want exactly 1: %v", len(warnings), warnings)
-	}
-}
-
-func TestResolveCacheSpecWarningNamesEquivalentSpec(t *testing.T) {
-	defer resetDeprecationOnce()
-	resetDeprecationOnce()
-	var got string
-	_, err := resolveCacheSpec("", 4096, 256<<20, "/data/cells", []string{"-cache-dir"},
-		func(format string, args ...any) { got = fmt.Sprintf(format, args...) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(got, "log:///data/cells") {
-		t.Errorf("deprecation warning %q does not suggest the equivalent spec URL", got)
-	}
-	if !strings.Contains(got, "-cache-dir") {
-		t.Errorf("deprecation warning %q does not name the offending flag", got)
-	}
-}
-
-func TestResolveCacheSpecPlainDefaults(t *testing.T) {
-	sp, err := resolveCacheSpec("", 4096, 256<<20, "", nil,
-		func(string, ...any) { t.Error("no aliases set, but warned") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Scheme != "memory" || sp.Entries != 4096 {
-		t.Fatalf("default spec = %+v", sp)
-	}
-}
-
-func TestResolveCacheSpecURL(t *testing.T) {
-	sp, err := resolveCacheSpec("pairtree:///d?compress=gzip", 4096, 256<<20, "", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sp.Scheme != "pairtree" || sp.Path != "/d" || sp.Codec == 0 {
-		t.Fatalf("parsed spec = %+v", sp)
-	}
-	if _, err := resolveCacheSpec("bogus://x", 0, 0, "", nil, nil); err == nil {
-		t.Error("bogus scheme accepted")
+	if st := c.Stats(); st.MemEntries != 4096 || st.Evictions != 1 || st.StoreEntries != 0 {
+		t.Errorf("after 4097 puts: %d entries, %d evictions, %d stored; want 4096, 1, 0",
+			st.MemEntries, st.Evictions, st.StoreEntries)
 	}
 }
 

@@ -17,23 +17,20 @@ import (
 //
 //	"sce3" | codec u8 | expiry u64 (unix nanoseconds, 0 = never) | bodyLen u32 | body
 //
-// little-endian. The magic doubles as the stored-entry version: v1
-// caches stored bare payloads, which fail the magic check and read as
-// misses — exactly the orphaning the stash-cell-v2 fingerprint bump
-// implies. The body is the serialized SweepResult bytes, compressed
-// per the codec byte.
+// little-endian. The magic doubles as the stored-entry version: any
+// other magic — v1's bare payloads, v2's "sce2" frames — fails the
+// check and reads as a miss, so the cell re-simulates. Those entries
+// were stored under older fingerprint versions, whose keys current
+// lookups never produce anyway. The body is the serialized
+// SweepResult bytes, compressed per the codec byte.
 //
-// v3 adds the explicit body length so a frame that was cut short by a
-// torn or interrupted write is detected at the Cache layer even for
-// uncompressed payloads (gzip carries its own footer; raw bytes
-// previously had no way to prove they were whole). v2 frames — the
-// same header minus the length — are still decoded, so upgrading
-// never orphans an existing cache.
+// The explicit body length detects a frame cut short by a torn or
+// interrupted write at the Cache layer even for uncompressed payloads
+// (gzip carries its own footer; raw bytes have no other way to prove
+// they are whole).
 const (
-	frameMagic   = "sce3"
-	frameHdr     = 4 + 1 + 8 + 4
-	frameMagicV2 = "sce2"
-	frameHdrV2   = 4 + 1 + 8
+	frameMagic = "sce3"
+	frameHdr   = 4 + 1 + 8 + 4
 
 	// Codec identities, stable on disk. New codecs append; never
 	// renumber.
@@ -87,10 +84,9 @@ func encodeFrame(codec byte, expiry int64, payload []byte) ([]byte, error) {
 
 // frameExpiry reads just the expiry from a frame header, without
 // touching (or decompressing) the payload — the startup TTL scan's
-// fast path. Both frame versions share the expiry offset.
+// fast path.
 func frameExpiry(frame []byte) (int64, bool) {
-	if len(frame) < frameHdrV2 ||
-		(string(frame[:4]) != frameMagic && string(frame[:4]) != frameMagicV2) {
+	if len(frame) < frameHdr || string(frame[:4]) != frameMagic {
 		return 0, false
 	}
 	return int64(binary.LittleEndian.Uint64(frame[5:13])), true
@@ -99,21 +95,17 @@ func frameExpiry(frame []byte) (int64, bool) {
 // decodeFrame validates the header and returns the decompressed
 // payload. The codec comes from the frame, not from configuration.
 // For CodecRaw the payload aliases the frame's backing array (zero
-// copy on the hot path). A v3 frame whose body is shorter than its
+// copy on the hot path). A frame whose body is shorter than its
 // declared length — a torn write — is an error, which the Cache turns
-// into a dropped entry and a recompute.
+// into a dropped entry and a recompute; so is a frame with any other
+// magic.
 func decodeFrame(frame []byte) (payload []byte, expiry int64, codec byte, err error) {
-	var body []byte
-	switch {
-	case len(frame) >= frameHdr && string(frame[:4]) == frameMagic:
-		body = frame[frameHdr:]
-		if want := binary.LittleEndian.Uint32(frame[13:17]); uint32(len(body)) != want {
-			return nil, 0, 0, fmt.Errorf("torn cache entry: %d body bytes, header says %d", len(body), want)
-		}
-	case len(frame) >= frameHdrV2 && string(frame[:4]) == frameMagicV2:
-		body = frame[frameHdrV2:]
-	default:
+	if len(frame) < frameHdr || string(frame[:4]) != frameMagic {
 		return nil, 0, 0, fmt.Errorf("not a framed cache entry")
+	}
+	body := frame[frameHdr:]
+	if want := binary.LittleEndian.Uint32(frame[13:17]); uint32(len(body)) != want {
+		return nil, 0, 0, fmt.Errorf("torn cache entry: %d body bytes, header says %d", len(body), want)
 	}
 	codec = frame[4]
 	expiry = int64(binary.LittleEndian.Uint64(frame[5:13]))

@@ -2,7 +2,6 @@ package cellcache
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -268,19 +267,20 @@ func TestSpecFaultGrammar(t *testing.T) {
 	}
 }
 
-// TestFrameV2BackCompat: sce2 frames (no body length) written by older
-// caches still decode, and a truncated sce3 raw frame is a loud error,
-// not silently short bytes.
-func TestFrameV2BackCompat(t *testing.T) {
+// TestFrameV2ReadsAsMiss: an sce2 frame (no body length) from an older
+// cache does not decode, so the Cache drops it and re-simulates; and a
+// truncated sce3 raw frame is a loud error, not silently short bytes.
+func TestFrameV2ReadsAsMiss(t *testing.T) {
 	payload := []byte(`{"cycles":123}`)
-	v2 := make([]byte, frameHdrV2+len(payload))
-	copy(v2, frameMagicV2)
+	v2 := make([]byte, 4+1+8+len(payload))
+	copy(v2, "sce2")
 	v2[4] = CodecRaw
-	binary.LittleEndian.PutUint64(v2[5:13], 0)
-	copy(v2[frameHdrV2:], payload)
-	got, expiry, codec, err := decodeFrame(v2)
-	if err != nil || !bytes.Equal(got, payload) || expiry != 0 || codec != CodecRaw {
-		t.Fatalf("v2 frame decode = %q, %d, %d, %v", got, expiry, codec, err)
+	copy(v2[13:], payload)
+	if got, _, _, err := decodeFrame(v2); err == nil {
+		t.Fatalf("sce2 frame decoded to %q; want an error", got)
+	}
+	if _, ok := frameExpiry(v2); ok {
+		t.Error("frameExpiry read an sce2 frame")
 	}
 
 	v3, err := encodeFrame(CodecRaw, 0, payload)

@@ -3,15 +3,15 @@
 // and FUSE's STT-MRAM-in-GPU study: a Profile captures how an on-chip
 // memory structure built in a given technology differs from the SRAM
 // baseline in access latency (asymmetric read vs. write), per-access
-// energy, leakage, retention, and density.
+// energy, and leakage.
 //
 // The SRAM profile is the identity: zero latency deltas and 1.0 energy
 // scales leave the simulator's Table 3 baseline untouched. Non-SRAM
 // profiles are illustrative composites of the values reported in the
 // literature (see DESIGN.md section 16), chosen to exercise the
 // qualitative tradeoffs — STT-MRAM's expensive writes vs. near-zero
-// leakage and higher density, eDRAM's cheaper dynamic energy vs. refresh
-// pressure — not to model a specific foundry node.
+// leakage, eDRAM's cheaper dynamic energy vs. slower access — not to
+// model a specific foundry node.
 package tech
 
 import (
@@ -42,17 +42,6 @@ type Profile struct {
 	// StaticEnergyPJ) so the golden dynamic-energy totals stay
 	// comparable with the paper's stacks.
 	LeakageMWPerKB float64
-
-	// RetentionUS is the cell retention time in microseconds; 0 means
-	// effectively unbounded (SRAM, long-retention STT-MRAM). Carried in
-	// the profile for reporting; retention-driven refresh traffic is a
-	// recorded follow-up, not yet modeled (see ROADMAP.md).
-	RetentionUS float64
-
-	// DensityScale is bits per unit area relative to SRAM: capacity
-	// achievable in the same footprint. Used by grid tooling to pick
-	// iso-area capacity points; it does not change timing by itself.
-	DensityScale float64
 }
 
 // profiles is the registry of named profiles. Values are illustrative
@@ -63,17 +52,15 @@ type Profile struct {
 //     high-performance SRAM arrays at 32-45nm.
 //   - stt-mram: reads near-SRAM (+1 cycle, slightly higher energy from
 //     sense amps), writes much slower and costlier (+10 cycles, ~6x
-//     energy), near-zero array leakage, ~3-4x density.
+//     energy), near-zero array leakage.
 //   - edram: logic-process embedded DRAM; slightly slower than SRAM both
-//     ways, lower dynamic energy, leakage between SRAM and STT-MRAM,
-//     ~2x density, and tens-of-microseconds retention.
+//     ways, lower dynamic energy, leakage between SRAM and STT-MRAM.
 var profiles = map[string]Profile{
 	"sram": {
 		Name:             "sram",
 		ReadEnergyScale:  1.0,
 		WriteEnergyScale: 1.0,
 		LeakageMWPerKB:   0.050,
-		DensityScale:     1.0,
 	},
 	"stt-mram": {
 		Name:             "stt-mram",
@@ -82,8 +69,6 @@ var profiles = map[string]Profile{
 		ReadEnergyScale:  1.3,
 		WriteEnergyScale: 6.0,
 		LeakageMWPerKB:   0.002,
-		RetentionUS:      0, // long-retention variant: effectively non-volatile
-		DensityScale:     3.5,
 	},
 	"edram": {
 		Name:             "edram",
@@ -92,8 +77,6 @@ var profiles = map[string]Profile{
 		ReadEnergyScale:  0.7,
 		WriteEnergyScale: 0.7,
 		LeakageMWPerKB:   0.010,
-		RetentionUS:      40,
-		DensityScale:     2.0,
 	},
 }
 
@@ -127,15 +110,12 @@ func (p Profile) Validate() error {
 	if p.LeakageMWPerKB < 0 {
 		return fmt.Errorf("tech: profile %q: leakage must be >= 0", p.Name)
 	}
-	if p.RetentionUS < 0 {
-		return fmt.Errorf("tech: profile %q: retention must be >= 0", p.Name)
-	}
 	return nil
 }
 
 // IsIdentity reports whether the profile changes nothing relative to the
-// SRAM baseline's timing and dynamic energy (leakage, retention and
-// density may still differ: they do not affect golden metrics).
+// SRAM baseline's timing and dynamic energy (leakage may still differ:
+// it is reported separately and does not affect golden metrics).
 func (p Profile) IsIdentity() bool {
 	return p.ReadLatDelta == 0 && p.WriteLatDelta == 0 &&
 		p.ReadEnergyScale == 1.0 && p.WriteEnergyScale == 1.0

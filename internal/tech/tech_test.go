@@ -79,7 +79,6 @@ func TestValidateRejectsNegatives(t *testing.T) {
 		{Name: "bad", ReadEnergyScale: -0.5, WriteEnergyScale: 1},
 		{Name: "bad", ReadEnergyScale: 1, WriteEnergyScale: -1},
 		{Name: "bad", ReadEnergyScale: 1, WriteEnergyScale: 1, LeakageMWPerKB: -1},
-		{Name: "bad", ReadEnergyScale: 1, WriteEnergyScale: 1, RetentionUS: -1},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
