@@ -31,6 +31,7 @@ type goldenTechEntry struct {
 	Cycles         uint64  `json:"cycles"`
 	EnergyPJ       float64 `json:"energy_pj"`
 	StaticEnergyPJ float64 `json:"static_energy_pj"`
+	ResultSHA256   string  `json:"result_sha256"` // see goldenEntry
 }
 
 // goldenTechCells spans the extension's axes: both non-default profiles,
@@ -102,6 +103,7 @@ func writeGoldenTech(t *testing.T) {
 			Cycles:         r.Result.Cycles,
 			EnergyPJ:       r.Result.EnergyPJ,
 			StaticEnergyPJ: r.Result.StaticEnergyPJ,
+			ResultSHA256:   resultDigest(t, r.Result),
 		}
 	}
 	data, err := json.MarshalIndent(entries, "", "\t")
@@ -151,6 +153,9 @@ func TestGoldenTechMetrics(t *testing.T) {
 			}
 			if res.StaticEnergyPJ != e.StaticEnergyPJ {
 				t.Errorf("StaticEnergyPJ = %v, golden %v", res.StaticEnergyPJ, e.StaticEnergyPJ)
+			}
+			if got := resultDigest(t, res); got != e.ResultSHA256 {
+				t.Errorf("Result SHA-256 = %s, golden %s", got, e.ResultSHA256)
 			}
 		})
 	}

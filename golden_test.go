@@ -2,6 +2,8 @@ package stash
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"os"
@@ -28,6 +30,8 @@ const goldenPath = "testdata/golden.json"
 // goldenEntry is one (workload, org) cell of the golden table. EnergyPJ
 // round-trips exactly through JSON: encoding/json emits the shortest
 // float representation that parses back to the identical float64.
+// ResultSHA256 pins the rest of the Result (every counter, energy event
+// and component) that the named columns leave out.
 type goldenEntry struct {
 	Workload     string            `json:"workload"`
 	Org          string            `json:"org"`
@@ -35,6 +39,20 @@ type goldenEntry struct {
 	EnergyPJ     float64           `json:"energy_pj"`
 	Instructions uint64            `json:"instructions"`
 	FlitHops     map[string]uint64 `json:"flit_hops"`
+	ResultSHA256 string            `json:"result_sha256"`
+}
+
+// resultDigest is the hex SHA-256 of r's JSON encoding. encoding/json
+// sorts map keys and prints floats in their shortest exact form, so the
+// digest moves exactly when some field of r does.
+func resultDigest(t *testing.T, r Result) string {
+	t.Helper()
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 func goldenGrid() []RunSpec {
@@ -70,6 +88,7 @@ func writeGolden(t *testing.T) {
 			EnergyPJ:     r.Result.EnergyPJ,
 			Instructions: r.Result.GPUInstructions,
 			FlitHops:     r.Result.FlitHops,
+			ResultSHA256: resultDigest(t, r.Result),
 		})
 	}
 	data, err := json.MarshalIndent(entries, "", "\t")
@@ -246,6 +265,9 @@ func TestGoldenMetrics(t *testing.T) {
 				if got := res.FlitHops[class]; got != want {
 					t.Errorf("FlitHops[%s] = %d, golden %d", class, got, want)
 				}
+			}
+			if got := resultDigest(t, res); got != e.ResultSHA256 {
+				t.Errorf("Result SHA-256 = %s, golden %s", got, e.ResultSHA256)
 			}
 		})
 	}
