@@ -27,33 +27,6 @@ import (
 	"time"
 )
 
-// Options configures New, the programmatic constructor predating the
-// engine-spec URL grammar (see ParseSpec/Open for the full surface).
-// The zero value is usable: memory-only with default bounds.
-type Options struct {
-	// MaxEntries bounds the in-memory tier's entry count. Zero selects
-	// the default of 4096; negative disables the in-memory tier (every
-	// hit reads through to the persistent engine).
-	MaxEntries int
-	// MaxBytes bounds the in-memory tier's total value bytes. Zero
-	// selects the default of 256 MiB.
-	MaxBytes int64
-	// Dir, when non-empty, selects the Log engine rooted at Dir, so a
-	// restarted daemon keeps its cache.
-	Dir string
-}
-
-// New opens a cache described by Options. It is equivalent to opening
-// the spec "memory://?entries=..&bytes=.." (Dir empty) or
-// "log://Dir?entries=..&bytes=..".
-func New(opts Options) (*Cache, error) {
-	sp := Spec{Scheme: "memory", Entries: opts.MaxEntries, Bytes: opts.MaxBytes}
-	if opts.Dir != "" {
-		sp.Scheme, sp.Path = "log", opts.Dir
-	}
-	return sp.Open()
-}
-
 // Stats is a point-in-time counter snapshot; see Cache.Stats.
 type Stats struct {
 	// Hits counts lookups served from any tier; Misses the rest. A

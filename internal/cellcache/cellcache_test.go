@@ -14,7 +14,7 @@ import (
 )
 
 func TestMemHitMiss(t *testing.T) {
-	c, err := New(Options{})
+	c, err := Spec{Scheme: "memory"}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestMemHitMiss(t *testing.T) {
 // TestLRUEvictionBounds fills past both bounds and checks the tier
 // stays bounded, evicts oldest-first, and keeps recently-used entries.
 func TestLRUEvictionBounds(t *testing.T) {
-	c, err := New(Options{MaxEntries: 4, MaxBytes: 1 << 20})
+	c, err := Spec{Scheme: "memory", Entries: 4, Bytes: 1 << 20}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLRUEvictionBounds(t *testing.T) {
 // entry bound (while always retaining at least one entry, so a single
 // oversized value still caches).
 func TestByteBound(t *testing.T) {
-	c, err := New(Options{MaxEntries: 100, MaxBytes: 150})
+	c, err := Spec{Scheme: "memory", Entries: 100, Bytes: 150}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestByteBound(t *testing.T) {
 
 func TestDiskRoundTripAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(Options{Dir: dir})
+	c, err := Spec{Scheme: "log", Path: dir}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestDiskRoundTripAcrossRestart(t *testing.T) {
 
 	// Simulated restart: a fresh cache over the same directory serves
 	// every entry from the log.
-	c2, err := New(Options{Dir: dir})
+	c2, err := Spec{Scheme: "log", Path: dir}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestDiskRoundTripAcrossRestart(t *testing.T) {
 // before and after it still serve — and the cache keeps working.
 func TestCorruptedDiskEntrySkipped(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(Options{Dir: dir})
+	c, err := Spec{Scheme: "log", Path: dir}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestCorruptedDiskEntrySkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := New(Options{Dir: dir})
+	c2, err := Spec{Scheme: "log", Path: dir}.Open()
 	if err != nil {
 		t.Fatalf("corrupted record must not be fatal: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestCorruptedDiskEntrySkipped(t *testing.T) {
 // append) and checks the intact prefix loads and appends still work.
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	c, err := New(Options{Dir: dir})
+	c, err := Spec{Scheme: "log", Path: dir}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := New(Options{Dir: dir})
+	c2, err := Spec{Scheme: "log", Path: dir}.Open()
 	if err != nil {
 		t.Fatalf("torn tail must not be fatal: %v", err)
 	}
@@ -223,7 +223,7 @@ func TestTornTailTruncated(t *testing.T) {
 	c2.Put("", "ccc", []byte("third-value"))
 	c2.Close()
 
-	c3, err := New(Options{Dir: dir})
+	c3, err := Spec{Scheme: "log", Path: dir}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestForeignLogRejected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, logName), []byte("not a cache log at all"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Options{Dir: dir}); err == nil {
+	if _, err := (Spec{Scheme: "log", Path: dir}).Open(); err == nil {
 		t.Fatal("foreign file silently adopted as a cache log")
 	}
 }
@@ -248,7 +248,7 @@ func TestForeignLogRejected(t *testing.T) {
 // TestDoSingleflight launches many concurrent Do calls for one key and
 // checks exactly one computes while the rest share its bytes.
 func TestDoSingleflight(t *testing.T) {
-	c, err := New(Options{})
+	c, err := Spec{Scheme: "memory"}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestDoSingleflight(t *testing.T) {
 // TestDoErrorNotCached: a failed compute reaches every waiter but the
 // next Do retries.
 func TestDoErrorNotCached(t *testing.T) {
-	c, err := New(Options{})
+	c, err := Spec{Scheme: "memory"}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -332,7 +332,7 @@ func TestSharedFlightDisconnect(t *testing.T) {
 // queued cells fast with structured not_started lines while the
 // in-flight cell finishes — the stream stays whole, nothing wedges.
 func TestDrainDuringSweep(t *testing.T) {
-	cache, err := cellcache.New(cellcache.Options{})
+	cache, err := cellcache.Spec{Scheme: "memory"}.Open()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (f *fakeEngine) run(ctx context.Context, spec stash.RunSpec) stash.SweepRes
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Cache == nil {
-		c, err := cellcache.New(cellcache.Options{})
+		c, err := cellcache.Spec{Scheme: "memory"}.Open()
 		if err != nil {
 			t.Fatal(err)
 		}
