@@ -19,6 +19,7 @@
 //	paperfigs -exp fig6 -j 8          # 8 concurrent simulations
 //	paperfigs -exp fig6 -j 1          # serial: identical output, slower
 //	paperfigs -exp all -json out.json # raw sweep results as JSON
+//	paperfigs -exp fig5 -json -       # JSON on stdout, tables on stderr
 //
 // Each simulation is deterministic and results are assembled in grid
 // order, so the tables printed to stdout are byte-identical for every
@@ -67,6 +68,7 @@ func main() {
 	version := cliutil.VersionFlag()
 	flag.Parse()
 	version()
+	sweepFlags.TextToStderr()
 	if sweepFlags.Server != "" && *traceDir != "" {
 		fmt.Fprintln(os.Stderr, "-trace-dir requires local simulation; drop -server or -trace-dir")
 		os.Exit(2)

@@ -12,6 +12,7 @@
 //
 //	stashsim -workload all -org Scratch,Stash -j 8
 //	stashsim -workload micro -org all -json results.json
+//	stashsim -workload micro -org all -json -   # JSON on stdout, report on stderr
 //
 // With -server the sweep is submitted to a running stashd daemon
 // instead of simulated locally; cells the daemon has seen before are
@@ -114,6 +115,7 @@ func main() {
 	version := cliutil.VersionFlag()
 	flag.Parse()
 	version()
+	sweepFlags.TextToStderr()
 
 	if sweepFlags.Server != "" && *tracePath != "" {
 		fmt.Fprintln(os.Stderr, "-trace requires local simulation; drop -server or -trace")

@@ -76,8 +76,22 @@ type SweepFlags struct {
 // Register installs the shared flags on the default flag set.
 func (f *SweepFlags) Register() {
 	flag.IntVar(&f.Jobs, "j", runtime.GOMAXPROCS(0), "concurrent simulations (1 = serial); ignored with -server")
-	flag.StringVar(&f.JSONOut, "json", "", "also write raw sweep results as JSON to this file (\"-\" for stdout)")
+	flag.StringVar(&f.JSONOut, "json", "", "also write raw sweep results as JSON to this file (\"-\" for stdout, which moves the text report to stderr)")
 	flag.StringVar(&f.Server, "server", "", "submit the sweep to a running stashd at this base URL (e.g. http://localhost:8341) instead of simulating locally")
+}
+
+// jsonStdout is the process's stdout as it was at start-up: a "-json -"
+// document goes there after TextToStderr has pointed os.Stdout at
+// stderr.
+var jsonStdout = os.Stdout
+
+// TextToStderr points os.Stdout at stderr when -json is "-", so the
+// command's text report goes to stderr and stdout carries the JSON
+// document alone. Call it after flag.Parse, before printing anything.
+func (f *SweepFlags) TextToStderr() {
+	if f.JSONOut == "-" {
+		os.Stdout = os.Stderr
+	}
 }
 
 // Run executes the sweep: locally over stash.Sweep, or — with -server —
@@ -105,7 +119,7 @@ func (f *SweepFlags) ReportWall(prefix string, cells int, elapsed time.Duration)
 // WriteJSON writes results as one EncodeJSON document to path ("-" for
 // stdout), exiting on I/O failure like the CLIs always have.
 func WriteJSON(path string, results []stash.SweepResult) {
-	out := os.Stdout
+	out := jsonStdout
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
