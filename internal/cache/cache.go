@@ -117,15 +117,17 @@ const (
 // scheduling a hit/fill completion allocates nothing in steady state.
 // Parked accesses are never events of their own; they wait in runs.
 type op struct {
-	c       *Cache
-	kind    opKind
-	counted bool // parked reservation fails are held in c.outstanding until re-issued
-	addr    memdata.PAddr
-	mask    memdata.WordMask
-	vals    [memdata.WordsPerLine]uint32
-	doneL   func(vals [memdata.WordsPerLine]uint32)
-	doneS   func()
-	run     func()
+	c    *Cache
+	kind opKind
+	// wait is why a parked access last failed. A reservation fail
+	// (noMSHR, noRegSlot) is held in c.outstanding until it issues.
+	wait  wait
+	addr  memdata.PAddr
+	mask  memdata.WordMask
+	vals  [memdata.WordsPerLine]uint32
+	doneL func(vals [memdata.WordsPerLine]uint32)
+	doneS func()
+	run   func()
 }
 
 // fire delivers a completing load's values. The op is released before
@@ -143,9 +145,8 @@ func (o *op) fire() {
 // longer, and parks again otherwise. A failed poll changes nothing but
 // the access's place in the run queue.
 func (c *Cache) retry(o *op) {
-	counted := o.counted
+	counted := o.wait != setBusy
 	if counted {
-		o.counted = false
 		c.outstanding--
 	}
 	var w wait
@@ -239,23 +240,21 @@ type Cache struct {
 	// keeping dead line pointers in capacity for the next allocate.
 	sets    []cset
 	setMask int // len(sets)-1 when a power of two, else -1 (modulo path)
-	// Epochs count the state changes that can end a wait. While no
-	// epoch that its members' wait reasons read has moved, a run of
-	// parked accesses would fail again member for member, so it
-	// reschedules itself without polling them (see run.poll).
-	//
 	// stateEpoch moves on every change to ways or their evictability:
 	// MSHR create and retire, registration add and ack, install and
-	// evict, fill, writeback ack, WritebackAll. setBusy reads it.
-	// missEpoch moves only on what can end a noMSHR wait: a fill (which
-	// retires MSHRs and makes words readable) or a store's new words.
-	// While every MSHR is busy none can be created, and installing,
-	// evicting or invalidating the load's line leaves it missing.
-	// regEpoch moves only when a registration completes, the one thing
-	// that ends a noRegSlot wait.
-	stateEpoch, missEpoch, regEpoch uint64
-	tail                            *run   // the run scheduled last; see park
-	runFree                         []*run // pooled runs
+	// evict, fill, writeback ack, WritebackAll. While it stands still, a
+	// setBusy access would fail again (see run.next).
+	stateEpoch uint64
+	// lineLog holds the last line events, the only things besides a
+	// freed slot that can end a reservation fail: a fill (it makes words
+	// readable and can retire an MSHR), an MSHR create (a load can merge
+	// into it) and a store's new words (readable, and a registration to
+	// merge with). Event k's line tag sits in lineLog[k%logLen] until
+	// overwritten; logN counts the events. See run.next.
+	lineLog [logLen]uint32
+	logN    uint64
+	tail    *run   // the run scheduled last; see park
+	runFree []*run // pooled runs
 	// stampN issues LRU stamps: every hit or install takes the next
 	// value, so larger stamp = more recently used.
 	stampN   uint64
@@ -461,40 +460,63 @@ type run struct {
 	at    sim.Cycle // cycle the run's event is scheduled for
 	seq   uint64    // that event's engine sequence number
 	waits uint8     // bit w set: some member waits for reason w
-	// The epochs when the run started, which is no later than any
-	// member's failure.
-	state, miss, reg uint64
-	ops              []*op
-	fire             func()
+	// stateEpoch and logN when the run last polled or started, which is
+	// no later than any member's last failure.
+	state, logN uint64
+	ops         []*op
+	fire        func()
 }
 
 // park queues a stalled access for its poll retryDelay cycles from now.
 // A reservation fail counts as outstanding, so a drain cannot complete
 // (and the next phase begin) before the access has actually issued.
-// The access joins the tail run when that run's event is still the
-// last one scheduled for the same cycle, which is exactly where an
-// event of its own would run; otherwise it starts a new run.
 func (c *Cache) park(o *op, w wait) {
 	if w != setBusy {
-		o.counted = true
 		c.outstanding++
 	}
-	at := c.eng.Now() + retryDelay
-	r := c.tail
-	if r == nil || r.at != at || c.eng.LastSeq(at) != r.seq {
-		if n := len(c.runFree); n > 0 {
-			r = c.runFree[n-1]
-			c.runFree = c.runFree[:n-1]
-		} else {
-			r = &run{c: c}
-			r.fire = r.poll
-		}
-		r.waits = 0
-		r.state, r.miss, r.reg = c.stateEpoch, c.missEpoch, c.regEpoch
-		c.schedule(r, at)
-	}
+	r := c.parkRun()
 	r.waits |= 1 << w
+	o.wait = w
 	r.ops = append(r.ops, o)
+}
+
+// repark queues members of a polling run that would fail again for the
+// same reasons (waits) as they did last time, as one-by-one parks would.
+// Failed polls change nothing, so the members stay together: they join
+// the run that the first of them would join.
+func (c *Cache) repark(ops []*op, waits uint8) {
+	r := c.parkRun()
+	r.waits |= waits
+	r.ops = append(r.ops, ops...)
+}
+
+// parkRun returns the run an access stalled now joins: the tail run when
+// that run's event is still the last one scheduled for retryDelay cycles
+// from now, which is exactly where an event of the access's own would
+// run, and a new run scheduled there otherwise.
+func (c *Cache) parkRun() *run {
+	if c.tailJoinable() {
+		return c.tail
+	}
+	var r *run
+	if n := len(c.runFree); n > 0 {
+		r = c.runFree[n-1]
+		c.runFree = c.runFree[:n-1]
+	} else {
+		r = &run{c: c}
+		r.fire = r.poll
+	}
+	r.waits = 0
+	r.state, r.logN = c.stateEpoch, c.logN
+	c.schedule(r, c.eng.Now()+retryDelay)
+	return r
+}
+
+// tailJoinable reports whether the tail run's event is still the last
+// one scheduled for retryDelay cycles from now.
+func (c *Cache) tailJoinable() bool {
+	at := c.eng.Now() + retryDelay
+	return c.tail != nil && c.tail.at == at && c.eng.LastSeq(at) == c.tail.seq
 }
 
 // schedule puts r's event at cycle at and makes r the tail run.
@@ -504,30 +526,127 @@ func (c *Cache) schedule(r *run, at sim.Cycle) {
 	c.tail = r
 }
 
-// poll is a run's event. If no epoch its members' wait reasons read
-// has moved since the run started, they would all fail again: the run
-// just moves on by retryDelay. Otherwise it re-polls them in order; a
+// poll is a run's event. It retries, in order, only the members that
+// might issue (see next); the stretches of members between them would
+// fail again and are re-parked in bulk where one-by-one re-parks would
+// put them. A run none of whose members might issue moves on whole: into
+// the tail run if that is joinable, else rescheduled by retryDelay. A
 // member that fails again parks afresh, so the members behind a success
-// start a new run scheduled after that success's side effects.
+// join a run scheduled after that success's side effects.
 func (r *run) poll() {
 	c := r.c
-	if !(r.waits&(1<<setBusy) != 0 && r.state != c.stateEpoch ||
-		r.waits&(1<<noMSHR) != 0 && r.miss != c.missEpoch ||
-		r.waits&(1<<noRegSlot) != 0 && r.reg != c.regEpoch) {
+	i, waits := len(r.ops), r.waits
+	if r.stirred() {
+		i, waits = r.next(0)
+	}
+	if i == len(r.ops) && !c.tailJoinable() {
+		// Every member failed again as of now, so now is a valid start.
+		r.state, r.logN = c.stateEpoch, c.logN
 		c.schedule(r, c.eng.Now()+retryDelay)
 		return
 	}
 	if c.tail == r {
 		c.tail = nil
 	}
-	ops := r.ops
-	for i, o := range ops {
-		ops[i] = nil
-		c.retry(o)
+	ops, start := r.ops, 0
+	for i < len(ops) {
+		if i > start {
+			c.repark(ops[start:i], waits)
+		}
+		c.retry(ops[i])
+		start = i + 1
+		i, waits = r.next(start)
 	}
+	if start < len(ops) {
+		c.repark(ops[start:], waits)
+	}
+	clear(ops)
 	r.ops = ops[:0]
 	c.runFree = append(c.runFree, r)
 }
+
+// stirred reports in O(1) whether anything that could let a member
+// issue has happened since the run last polled: a state change for a
+// setBusy member, and a line event or a free slot for a reservation
+// fail.
+func (r *run) stirred() bool {
+	c := r.c
+	logged := c.logN != r.logN
+	return r.waits&(1<<setBusy) != 0 && r.state != c.stateEpoch ||
+		r.waits&(1<<noMSHR) != 0 && (logged || !c.mshrsFull()) ||
+		r.waits&(1<<noRegSlot) != 0 && (logged || !c.regFull())
+}
+
+// next returns the index of the first member at or after i that might
+// issue if polled now, and the wait bits of the members it skips. A
+// skipped member would fail again for the reason it last failed, so
+// skipping it is exact:
+//   - setBusy: no way or its evictability has changed (stateEpoch);
+//   - noMSHR: every MSHR is still busy, and nothing can make the load's
+//     words readable or give its line an MSHR without a line event:
+//     installs, evictions and invalidations leave it missing;
+//   - noRegSlot: the registration buffer is still full, and only a
+//     store's new words, a line event, create the registration a store
+//     to the line could merge with.
+//
+// A reservation fail may also issue when more line events have happened
+// than the log holds, since then it cannot tell which lines saw one.
+func (r *run) next(i int) (int, uint8) {
+	c := r.c
+	var open [setBusy + 1]bool // open[w]: a member that failed for w might issue, whatever its line
+	open[setBusy] = r.state != c.stateEpoch
+	open[noMSHR] = !c.mshrsFull()
+	open[noRegSlot] = !c.regFull()
+	n := c.logN - r.logN
+	if n > logLen {
+		open[noMSHR], open[noRegSlot] = true, true
+	}
+	// The tags of the lines logged since the run last polled, padded
+	// with repeats of the last one.
+	var tags [logLen]uint32
+	for k := range tags {
+		tags[k] = c.lineLog[(r.logN+min(uint64(k), n-1))%logLen]
+	}
+	var waits uint8
+	logged := n > 0
+	for ; i < len(r.ops); i++ {
+		o := r.ops[i]
+		w := o.wait & setBusy // equals o.wait (setBusy is the largest); the mask drops open's bounds check
+		if open[w] {
+			return i, waits
+		}
+		if logged && w != setBusy {
+			t := lineTag(o.addr) // unrolled over logLen = 4 tags: a loop makes the scan ~1.7x slower
+			if t == tags[0] || t == tags[1] || t == tags[2] || t == tags[3] {
+				return i, waits
+			}
+		}
+		waits |= 1 << w
+	}
+	return i, waits
+}
+
+// logLen is the number of line events the log holds. Four covers all
+// but a few of the polls on the Fig. 5 cells that park, and keeps Cache
+// in its allocation size class. run.next compares with the four tags
+// unrolled; change the two together.
+const logLen = 4
+
+// lineTag is the low 32 bits of addr's line number. Two lines share a
+// tag only 2^32 lines apart, and a shared tag costs a needless poll,
+// never a missed one.
+func lineTag(addr memdata.PAddr) uint32 { return uint32(addr / memdata.LineBytes) }
+
+// logLine records a line event on addr; see lineLog.
+func (c *Cache) logLine(addr memdata.PAddr) {
+	c.lineLog[c.logN%logLen] = lineTag(addr)
+	c.logN++
+}
+
+// mshrsFull and regFull report that a load needing a new MSHR, or a
+// store needing a new registration slot, must wait.
+func (c *Cache) mshrsFull() bool { return c.p.MSHRs > 0 && len(c.mshrs) >= c.p.MSHRs }
+func (c *Cache) regFull() bool   { return c.p.MSHRs > 0 && len(c.pendingReg) >= c.p.MSHRs }
 
 // chargeAccess charges one GPU L1 access of class e and its
 // translation.
@@ -555,7 +674,7 @@ func (c *Cache) Load(addr memdata.PAddr, mask memdata.WordMask, done func(vals [
 // tryLoad issues the load unless it must wait, in which case it
 // changes nothing.
 func (c *Cache) tryLoad(addr memdata.PAddr, mask memdata.WordMask, done func(vals [memdata.WordsPerLine]uint32)) wait {
-	if c.p.MSHRs > 0 && len(c.mshrs) >= c.p.MSHRs && c.needsMSHR(addr, mask) {
+	if c.mshrsFull() && c.needsMSHR(addr, mask) {
 		return noMSHR
 	}
 	l := c.allocate(addr)
@@ -601,6 +720,7 @@ func (c *Cache) loadWith(l *line, addr memdata.PAddr, mask memdata.WordMask, don
 		}
 		m.born = c.eng.Now()
 		c.stateEpoch++
+		c.logLine(addr)
 		c.mshrs[addr] = m
 		l.mshr = m
 		c.refreshBusy(addr, l)
@@ -644,7 +764,7 @@ func (c *Cache) Store(addr memdata.PAddr, mask memdata.WordMask, vals [memdata.W
 // changes nothing. A store waits when the registration buffer is full
 // and its line has no registration in flight to merge with.
 func (c *Cache) tryStore(addr memdata.PAddr, mask memdata.WordMask, vals *[memdata.WordsPerLine]uint32, done func()) wait {
-	if c.p.MSHRs > 0 && len(c.pendingReg) >= c.p.MSHRs {
+	if c.regFull() {
 		if _, merging := c.pendingReg[addr]; !merging {
 			return noRegSlot
 		}
@@ -669,7 +789,7 @@ func (c *Cache) storeWith(l *line, addr memdata.PAddr, mask memdata.WordMask, va
 	l.pend |= needReg
 	if needReg != 0 {
 		c.stateEpoch++
-		c.missEpoch++
+		c.logLine(addr)
 		c.refreshBusy(addr, l)
 	}
 	if needReg == 0 {
@@ -736,7 +856,7 @@ func (c *Cache) HandlePacket(p *coh.Packet) {
 func (c *Cache) fill(p *coh.Packet) {
 	c.chk.Progress()
 	c.stateEpoch++
-	c.missEpoch++
+	c.logLine(p.Line)
 	c.tsnk.Event(uint64(c.eng.Now()), trace.KFill, uint64(p.Line), 0)
 	l := c.lookup(p.Line)
 	if l != nil {
@@ -802,7 +922,6 @@ func (c *Cache) regAck(p *coh.Packet) {
 	}
 	rem := c.pendingReg[p.Line] &^ p.Mask
 	if rem == 0 {
-		c.regEpoch++
 		delete(c.pendingReg, p.Line)
 	} else {
 		c.pendingReg[p.Line] = rem

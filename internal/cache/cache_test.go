@@ -523,6 +523,29 @@ func TestParkedLoadHitsAfterStoreToItsLine(t *testing.T) {
 	}
 }
 
+// A fill that makes a parked load's words readable wakes it as a store
+// does, though every MSHR is still busy: fill data lands in any Invalid
+// word of a resident line, and the fill logs the line.
+func TestParkedLoadHitsAfterFillOfItsLine(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	x := other(2)
+	r.load(x, nil) // word 0 ...
+	r.fill(x)      // ... now Shared
+	r.c.SelfInvalidate()
+	r.load(other(0), nil) // both MSHRs busy for good
+	r.load(other(1), nil)
+	r.eng.Run()
+	start := r.eng.Now()
+	var done bool
+	r.load(x, &done) // word 0 is Invalid again: parks, polls at start+4
+	r.eng.At(start+2, func() { r.fill(x) })
+	r.eng.RunUntil(start + 4 + p.HitLat)
+	if !done {
+		t.Fatal("the parked load did not hit on the word a fill made readable")
+	}
+}
+
 // When a member in the middle of a run issues, the members behind it
 // must poll after whatever that success scheduled for their next poll
 // cycle, exactly as if every parked access were its own event.
@@ -565,8 +588,9 @@ func TestSuccessMidRunQueuesLaterMembersBehindIt(t *testing.T) {
 }
 
 // A warmed-up storm of parked accesses allocates nothing, whether its
-// runs re-poll (an epoch their wait reads moved) or just move on, and a
-// run costs one engine event per poll however many accesses it holds.
+// runs just move on, scan their members and find none that can issue,
+// or retry a member that fails again, and a run costs one engine event
+// per poll however many accesses it holds.
 func TestParkingAllocatesNothing(t *testing.T) {
 	p := smallParams(2)
 	r := newStubRig(t, p)
@@ -580,26 +604,118 @@ func TestParkingAllocatesNothing(t *testing.T) {
 			r.load(other(10+i), nil) // a second run of 4
 		}
 	})
-	// A stray fill for a line the cache never requested changes nothing
-	// but the epoch a load waiting for an MSHR reads, so every run
-	// re-polls all its members and parks them again.
-	stir := func() { r.fill(other(100)) }
-	for i := 0; i < 8; i++ {
-		stir()
+	// A stray fill changes nothing but the line log. For a line no load
+	// waits on, every run scans its members, finds none that can issue
+	// and moves on whole; for a parked load's (absent) line, that load
+	// is retried, fails again and parks afresh.
+	stray := func() { r.fill(other(100)) }
+	ownLine := func() { r.fill(other(5)) }
+	storm := func() {
+		stray()
 		r.eng.RunFor(8)
+		ownLine()
+		r.eng.RunFor(8)
+	}
+	for i := 0; i < 8; i++ {
+		storm()
 	}
 	steps := r.eng.Steps()
 	r.eng.RunFor(400)
 	if got := r.eng.Steps() - steps; got != 200 {
 		t.Errorf("12 parked loads in 2 runs cost %d events over 400 cycles, want 200", got)
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		stir()
-		r.eng.RunFor(8)
-	}); allocs != 0 {
+	steps = r.eng.Steps()
+	stray()
+	r.eng.RunFor(8)
+	if got := r.eng.Steps() - steps; got != 4 {
+		t.Errorf("2 runs whose members all fail again cost %d events over 8 cycles, want 4", got)
+	}
+	if allocs := testing.AllocsPerRun(100, storm); allocs != 0 {
 		t.Fatalf("parking allocates %.1f objects per storm step, want 0", allocs)
 	}
 	if got := r.c.Outstanding(); got != 2+12 {
 		t.Fatalf("Outstanding = %d, want 14 (2 MSHRs + 12 parked reservation fails)", got)
+	}
+}
+
+// With every MSHR busy, a parked load whose line gains an MSHR merges
+// into it at its next poll: another load took a freed slot for that
+// line, and the MSHR create is logged although no slot is free by then.
+func TestParkedLoadMergesIntoNewMSHR(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	a0, a1, x := other(0), other(1), other(2)
+	r.load(a0, nil) // both MSHRs busy
+	r.load(a1, nil)
+	var parked, fresh bool
+	r.load(x, &parked) // parks: no MSHR; polls at 4, 8, ...
+	r.eng.At(5, func() {
+		r.fill(a0)        // frees an MSHR ...
+		r.load(x, &fresh) // ... which a new load for x takes at once
+	})
+	r.eng.RunUntil(7)
+	m := r.c.mshrs[x]
+	if m == nil || m.born != 5 || len(m.waiters) != 1 {
+		t.Fatal("the new load for x did not take the freed MSHR at cycle 5")
+	}
+	r.eng.RunUntil(8)
+	if len(m.waiters) != 2 {
+		t.Fatalf("x's MSHR has %d waiters after the parked load's poll at 8, want 2 (it merges)", len(m.waiters))
+	}
+	r.fill(x)
+	r.eng.Run()
+	if !parked || !fresh {
+		t.Fatalf("loads of x completed: parked %v, fresh %v; want both", parked, fresh)
+	}
+}
+
+// A store parked for a registration slot issues at the first poll after
+// a RegAck frees one, although no line event is logged.
+func TestParkedStoreIssuesWhenRegAckFreesASlot(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	b0, b1, y := other(0), other(1), other(2)
+	r.store(b0, nil) // both registration slots busy
+	r.store(b1, nil)
+	r.store(y, nil) // parks: no registration slot; polls at 4, 8, 12, ...
+	r.eng.RunUntil(1)
+	logged := r.c.logN
+	r.eng.At(9, func() { r.ack(b0) })
+	r.eng.RunUntil(11)
+	if _, ok := r.c.pendingReg[y]; ok {
+		t.Fatal("y issued before its poll at 12")
+	}
+	r.eng.RunUntil(12)
+	if _, ok := r.c.pendingReg[y]; !ok {
+		t.Fatal("y did not issue at its first poll after the ack freed a slot")
+	}
+	if r.c.logN != logged+1 {
+		t.Fatalf("%d line events logged between the park and y's issue, want only y's own", r.c.logN-logged-1)
+	}
+}
+
+// When more line events happen between two polls than the log holds,
+// the log cannot tell which lines saw one, so every parked access is
+// polled, and each issues at the same cycle as if it were polled on
+// every line event.
+func TestLogOverflowPollsEveryMember(t *testing.T) {
+	p := smallParams(2)
+	r := newStubRig(t, p)
+	r.load(other(0), nil) // both MSHRs busy for good
+	r.load(other(1), nil)
+	x, y := other(2), other(3)
+	var xDone, yDone bool
+	r.load(x, &xDone) // park: no MSHR; poll at 4, 8, ...
+	r.load(y, &yDone)
+	r.eng.At(5, func() {
+		r.store(x, nil) // x's word 0 becomes readable (logged) ...
+		r.store(y, nil) // ... and y's ...
+		for i := 0; i < logLen-1; i++ {
+			r.fill(other(100 + i)) // ... and stray fills push x out of the log
+		}
+	})
+	r.eng.RunUntil(8 + p.HitLat)
+	if !xDone || !yDone {
+		t.Fatalf("after overflowing the log: x hit %v, y hit %v at cycle %d; want both", xDone, yDone, 8+p.HitLat)
 	}
 }
