@@ -33,7 +33,13 @@ import (
 // Stash and StashG cells moved in energy only (fill installs and
 // replication copies are now charged as array writes); v4 retires
 // their v3 entries.
-const fingerprintVersion = "stash-cell-v4"
+//
+// v5 drops the trace staging ring: traced Results no longer carry its
+// always-zero dropped-event counter, and TraceConfig loses the ring's
+// size. No simulated number moved, and untraced Results are
+// byte-identical to v4's; the bump is for traced cells, whose Results
+// changed under an unchanged Config.
+const fingerprintVersion = "stash-cell-v5"
 
 // Fingerprint returns the cell's content address: a stable hex SHA-256
 // over the workload name and a canonical encoding of the Config. Two

@@ -18,7 +18,7 @@ func TestFingerprintPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "6f34f56331fd590f588677faf8aee9e6513e19515942264b644638ffa2e6e8aa"
+	const want = "70423a9dcc0b7ba9a64cda600de87af0e68313288f20ffacc1d6470ab1d7077f"
 	if fp != want {
 		t.Errorf("fingerprint of implicit/MicroConfig(Stash) changed:\n got %s\nwant %s\nIf the encoding change is intentional, bump fingerprintVersion and repin.", fp, want)
 	}
@@ -29,6 +29,7 @@ func TestFingerprintPinned(t *testing.T) {
 		"stash-cell-v1": "33ceb7bd5ecc5aa7462f7c74c458b9dc975c51e5d7625da8f12a3a9a01a4cfbf",
 		"stash-cell-v2": "7a21751cb410811a96c8981950098a196f1886904a3b813a5a7677e1d18d43d0",
 		"stash-cell-v3": "54b33d65ae47b86da3eb3af90dddc4b7e0fb7a6094404cab8467d5f476c23c70",
+		"stash-cell-v4": "6f34f56331fd590f588677faf8aee9e6513e19515942264b644638ffa2e6e8aa",
 	} {
 		if fp == old {
 			t.Errorf("fingerprint collided with the retired %s pin; fingerprintVersion is no longer key material", version)

@@ -133,18 +133,14 @@ func WriteJSON(path string, results []stash.SweepResult) {
 	}
 }
 
-// WriteTimeline writes one cell's trace to path in the named format
-// ("chrome" or "binary").
-func WriteTimeline(path, format string, tl *stash.Timeline) error {
+// WriteTimeline writes one cell's trace to path as Chrome/Perfetto
+// trace_event JSON.
+func WriteTimeline(path string, tl *stash.Timeline) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if format == "binary" {
-		err = tl.WriteBinary(f)
-	} else {
-		err = tl.WriteChrome(f)
-	}
+	err = tl.WriteChrome(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -152,20 +148,6 @@ func WriteTimeline(path, format string, tl *stash.Timeline) error {
 		return fmt.Errorf("writing trace %s: %w", path, err)
 	}
 	return nil
-}
-
-// TraceExt maps a -trace-format value to its file extension, or exits
-// with a usage error for an unknown format.
-func TraceExt(format string) string {
-	switch format {
-	case "chrome":
-		return ".json"
-	case "binary":
-		return ".trace"
-	}
-	fmt.Fprintf(os.Stderr, "unknown -trace-format %q (want chrome or binary)\n", format)
-	os.Exit(2)
-	return ""
 }
 
 // ExpandWorkloads expands a -workload argument: a comma-separated

@@ -58,14 +58,6 @@ type bucket struct {
 	events []event
 }
 
-// Interrupted is the panic value Step uses to unwind the simulation
-// when an interrupt poll (see SetInterrupt) fires. Runners recover it
-// at the simulation boundary and translate it into an error; it never
-// escapes a correctly written driver.
-type Interrupted struct{}
-
-func (Interrupted) Error() string { return "sim: run interrupted" }
-
 // Engine is a single-threaded discrete-event simulator.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
@@ -78,16 +70,12 @@ type Engine struct {
 	far     []event
 	pending int
 
-	interrupt  func() bool
-	interruptN uint64 // poll period in executed events
-	untilintr  uint64 // events left until the next poll
-
 	probes []probeEntry
 
-	// untilHook is the merged countdown to the earliest due hook (probe
-	// or interrupt poll); sinceHook+1 is the stride slowTick credits to
-	// every per-hook counter when untilHook reaches zero. Together they
-	// let tick touch one word per event instead of every hook's counter.
+	// untilHook is the merged countdown to the earliest due probe;
+	// sinceHook+1 is the stride slowTick credits to every probe's
+	// counter when untilHook reaches zero. Together they let tick touch
+	// one word per event instead of every probe's counter.
 	untilHook uint64
 	sinceHook uint64
 }
@@ -204,31 +192,15 @@ func (e *Engine) PeekNext() (Cycle, bool) {
 	return b.at, true
 }
 
-// SetInterrupt installs a poll function that Step consults once every
-// `every` executed events (every < 1 is treated as 1). When the poll
-// returns true the engine panics with Interrupted{}, unwinding the
-// in-progress Run through all nested component callbacks; the caller
-// that owns the simulation recovers it and reports cancellation as an
-// error. A nil poll removes the interrupt.
-func (e *Engine) SetInterrupt(every uint64, poll func() bool) {
-	if every < 1 {
-		every = 1
-	}
-	e.settleHooks()
-	e.interrupt = poll
-	e.interruptN = every
-	e.untilintr = every
-	e.rearmHooks()
-}
-
 // AddProbe installs a host-side hook that Step calls once every
 // `every` executed events (every < 1 is treated as 1). Unlike an
 // engine event, a probe never advances the clock and schedules
 // nothing, so installing one cannot perturb simulated timing — this is
-// what the deadlock watchdog, the invariant checker, and the trace
-// flusher hang off. A probe may panic (with a typed error) to unwind a
-// wedged simulation; the runner that owns the simulation recovers it
-// at the boundary. Probes fire in installation order.
+// what the deadlock watchdog, the invariant checker, and context
+// cancellation hang off. A probe may panic (with a typed value) to
+// unwind the in-progress Run through all nested component callbacks;
+// the runner that owns the simulation recovers it at the boundary.
+// Probes fire in installation order.
 func (e *Engine) AddProbe(every uint64, fn func()) {
 	if every < 1 {
 		every = 1
@@ -238,24 +210,12 @@ func (e *Engine) AddProbe(every uint64, fn func()) {
 	e.rearmHooks()
 }
 
-// SetProbe removes every installed probe and, with a non-nil fn,
-// installs it as the sole probe. Kept for callers that owned the
-// single probe slot before AddProbe existed.
-func (e *Engine) SetProbe(every uint64, fn func()) {
-	e.settleHooks()
-	e.probes = e.probes[:0]
-	e.rearmHooks()
-	if fn != nil {
-		e.AddProbe(every, fn)
-	}
-}
-
-// tick runs the per-executed-event host hooks: probes in installation
-// order, then the interrupt poll. Step calls it before popping an
-// event; Run's batched drain calls it once per event it executes, so
-// probe and interrupt cadence is identical on both paths. The merged
-// untilHook countdown makes the common nothing-due event one decrement
-// and one branch instead of a walk over every installed hook.
+// tick runs the per-executed-event host hooks: the probes, in
+// installation order. Step calls it before popping an event; Run's
+// batched drain calls it once per event it executes, so probe cadence
+// is identical on both paths. The merged untilHook countdown makes the
+// common nothing-due event one decrement and one branch instead of a
+// walk over every installed probe.
 func (e *Engine) tick() {
 	e.untilHook--
 	if e.untilHook == 0 {
@@ -263,12 +223,12 @@ func (e *Engine) tick() {
 	}
 }
 
-// slowTick fires the due hooks and recomputes the merged countdown.
+// slowTick fires the due probes and recomputes the merged countdown.
 func (e *Engine) slowTick() {
 	fired := e.sinceHook + 1
-	// Degenerate re-arm first: a hook may panic (watchdog, invariant
-	// checker, interrupt), skipping rearmHooks below. Per-event ticking
-	// is then still correct should the engine keep running.
+	// Degenerate re-arm first: a probe may panic (watchdog, invariant
+	// checker, cancellation), skipping rearmHooks below. Per-event
+	// ticking is then still correct should the engine keep running.
 	e.untilHook = 1
 	e.sinceHook = 0
 	for i := range e.probes {
@@ -279,22 +239,13 @@ func (e *Engine) slowTick() {
 			p.fn()
 		}
 	}
-	if e.interrupt != nil {
-		e.untilintr -= fired
-		if e.untilintr == 0 {
-			e.untilintr = e.interruptN
-			if e.interrupt() {
-				panic(Interrupted{})
-			}
-		}
-	}
 	e.rearmHooks()
 }
 
-// rearmHooks recomputes the merged countdown to the earliest due hook.
-// With no hooks installed it re-arms to a large stride so tick stays a
+// rearmHooks recomputes the merged countdown to the earliest due probe.
+// With no probes installed it re-arms to a large stride so tick stays a
 // single decrement; sinceHook carries the elapsed events forward so
-// hook cadence is exact across re-arms.
+// probe cadence is exact across re-arms.
 func (e *Engine) rearmHooks() {
 	next := uint64(1) << 32
 	for i := range e.probes {
@@ -302,15 +253,12 @@ func (e *Engine) rearmHooks() {
 			next = u
 		}
 	}
-	if e.interrupt != nil && e.untilintr < next {
-		next = e.untilintr
-	}
 	e.untilHook = next
 	e.sinceHook = next - 1
 }
 
 // settleHooks charges the events elapsed since the last re-arm to every
-// per-hook counter, so a hook installed mid-stride starts its period
+// probe's counter, so a probe installed mid-stride starts its period
 // from the current event rather than the stride boundary. No counter
 // can reach zero here: the elapsed count is strictly less than the
 // stride, which is the minimum of all counters at re-arm time.
@@ -321,9 +269,6 @@ func (e *Engine) settleHooks() {
 	}
 	for i := range e.probes {
 		e.probes[i].until -= elapsed
-	}
-	if e.interrupt != nil {
-		e.untilintr -= elapsed
 	}
 }
 
@@ -422,8 +367,8 @@ func (e *Engine) farPop() event {
 // strictly later, and a far push from inside the drain lands at least
 // ringWindow cycles out), so the whole FIFO — including same-cycle
 // events appended during the drain — executes with one cheap
-// head/len check per event. Probe and interrupt cadence, event order,
-// and panic-time engine state are identical to repeated Step calls.
+// head/len check per event. Probe cadence, event order, and panic-time
+// engine state are identical to repeated Step calls.
 func (e *Engine) Run() {
 	for e.pending > 0 {
 		b := e.nextRing()
@@ -449,7 +394,7 @@ func (e *Engine) Run() {
 		}
 	}
 	// The equivalent Step loop ends with one empty call that still runs
-	// the probes and the interrupt poll; keep that visible cadence.
+	// the probes; keep that visible cadence.
 	e.tick()
 }
 

@@ -121,7 +121,10 @@ func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	}
 }
 
-func TestInterruptUnwindsRun(t *testing.T) {
+// A probe that panics unwinds Run out of a run that would never end on
+// its own, at the firing that panicked: this is how RunWorkloadContext
+// cancels a simulation.
+func TestPanickingProbeUnwindsRun(t *testing.T) {
 	e := NewEngine()
 	var spawn func()
 	executed := 0
@@ -131,32 +134,26 @@ func TestInterruptUnwindsRun(t *testing.T) {
 	}
 	e.Schedule(1, spawn)
 
-	polls := 0
-	e.SetInterrupt(10, func() bool {
-		polls++
-		return polls >= 3
+	type stop struct{}
+	firings := 0
+	e.AddProbe(10, func() {
+		if firings++; firings == 3 {
+			panic(stop{})
+		}
 	})
 	func() {
 		defer func() {
-			if _, ok := recover().(Interrupted); !ok {
-				t.Fatal("Run did not panic with Interrupted")
+			if _, ok := recover().(stop); !ok {
+				t.Fatal("Run did not panic with the probe's value")
 			}
 		}()
 		e.Run()
-		t.Fatal("self-rescheduling event chain terminated without interrupt")
+		t.Fatal("self-rescheduling event chain terminated without the probe's panic")
 	}()
-	if executed < 20 || executed > 30 {
-		t.Fatalf("executed %d events before the third poll, want ~30", executed)
+	// The third firing comes before the 30th event executes.
+	if executed != 29 {
+		t.Fatalf("executed %d events before the third firing, want 29", executed)
 	}
-
-	// Removing the interrupt lets the engine run again (the pending
-	// event chain is still there; poll it away after a bounded prefix).
-	e.SetInterrupt(1, func() bool { return executed >= 40 })
-	func() {
-		defer func() { recover() }()
-		e.Run()
-	}()
-	e.SetInterrupt(0, nil)
 }
 
 func TestProbeFiresEveryN(t *testing.T) {
@@ -167,7 +164,7 @@ func TestProbeFiresEveryN(t *testing.T) {
 	}
 	probes := 0
 	var atSteps []uint64
-	e.SetProbe(10, func() {
+	e.AddProbe(10, func() {
 		probes++
 		atSteps = append(atSteps, e.Steps())
 	})
@@ -190,7 +187,7 @@ func TestProbeIsTimingNeutral(t *testing.T) {
 	run := func(withProbe bool) []Cycle {
 		e := NewEngine()
 		if withProbe {
-			e.SetProbe(3, func() {})
+			e.AddProbe(3, func() {})
 		}
 		var trace []Cycle
 		var spawn func(depth int)
@@ -235,7 +232,7 @@ func TestEngineReusableAfterProbePanic(t *testing.T) {
 
 	type wedged struct{}
 	fired := false
-	e.SetProbe(10, func() {
+	e.AddProbe(10, func() {
 		if !fired && e.Steps() >= 20 {
 			fired = true
 			panic(wedged{})
@@ -259,9 +256,6 @@ func TestEngineReusableAfterProbePanic(t *testing.T) {
 	if executed != 50 || !done || e.Pending() != 0 {
 		t.Fatalf("after resume: executed=%d done=%v pending=%d, want 50/true/0", executed, done, e.Pending())
 	}
-	e.SetProbe(0, nil)
-	e.Schedule(1, func() {})
-	e.Run()
 }
 
 // Property: regardless of insertion order, events execute in

@@ -161,34 +161,34 @@ func TestProtocolToleratesTimingFaults(t *testing.T) {
 	}
 }
 
-// An interrupt unwinds the run at an arbitrary event, but the engine
-// and every pooled structure stay consistent: clearing the interrupt
-// and draining completes the kernel with no leaked pooled objects.
+// A panicking probe — RunWorkloadContext's cancellation — unwinds the
+// run at an arbitrary event, but the engine and every pooled structure
+// stay consistent: draining after it completes the kernel with no
+// leaked pooled objects.
 func TestInterruptMidRunLeavesSystemReusable(t *testing.T) {
 	cfg := MicrobenchConfig(StashOrg)
 	cfg.Check = check.Params{Invariants: true, WatchdogBudget: 1 << 20}
 	s := New(cfg)
 	base := s.Alloc(nElems, func(i int) uint32 { return uint32(i) })
 
+	type interrupted struct{}
 	fired := false
-	s.Eng.SetInterrupt(50, func() bool {
+	s.Eng.AddProbe(50, func() {
 		if !fired {
 			fired = true
-			return true
+			panic(interrupted{})
 		}
-		return false
 	})
 	v := runRecover(func() { s.RunKernel(incKernelStash(base)) })
-	if _, ok := v.(sim.Interrupted); !ok {
-		t.Fatalf("recovered %T, want sim.Interrupted", v)
+	if _, ok := v.(interrupted); !ok {
+		t.Fatalf("recovered %T, want the probe's interrupted value", v)
 	}
 	if s.Eng.Pending() == 0 {
-		t.Fatal("interrupt fired after the kernel already finished; lower the poll period")
+		t.Fatal("interrupt fired after the kernel already finished; lower the probe period")
 	}
 
 	// Resume: drain the remaining events, then verify the machine is
 	// fully quiescent — no leaked waiters, plans, or value buffers.
-	s.Eng.SetInterrupt(1, nil)
 	s.Eng.Run()
 	st := s.stashs[0]
 	if err := st.CheckQuiescent(); err != nil {

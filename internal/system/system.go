@@ -259,7 +259,7 @@ func New(cfg Config) *System {
 	}
 
 	if cfg.Trace != nil {
-		tc := trace.NewCollector(*cfg.Trace, set)
+		tc := trace.NewCollector(*cfg.Trace)
 		s.Trace = tc
 		// Attach sinks in deterministic order: the network first, then
 		// per node the LLC bank and whatever the node hosts. Track order
@@ -287,10 +287,6 @@ func New(cfg Config) *System {
 				cpuIdx++
 			}
 		}
-		// Drain the event ring periodically so long runs spill to the
-		// compact encoding instead of dropping; probes never advance the
-		// clock, so timing is untouched.
-		eng.AddProbe(tc.FlushEvery(), tc.Flush)
 	}
 
 	s.buildProbes(dmas)

@@ -1,31 +1,20 @@
 // Package trace is the simulator's opt-in observability layer: typed
-// per-component event tracing plus windowed time-series metrics, drained
-// into a Timeline that exports as Chrome/Perfetto trace_event JSON or a
-// compact binary stream.
+// per-component event tracing plus windowed time-series metrics,
+// collected into a Timeline that exports as Chrome/Perfetto
+// trace_event JSON.
 //
 // The design contract is timing neutrality. Every component holds a
 // *Sink (and a few *Series); both types are nil-receiver-safe, so with
 // tracing disabled an emit site costs one nil check and zero
 // allocations, and every simulated metric is bit-identical to a run
 // without the instrumentation (enforced by TestGoldenTraceNeutral).
-// With tracing enabled, events are staged in a fixed-capacity ring
-// buffer that a host-side engine probe (sim.Engine.AddProbe) drains
-// into a varint-encoded spill; the probe never schedules events or
-// advances the clock, so tracing on is also metric-neutral — it only
-// spends host time and memory.
-//
-// Overflow policy: if the ring fills between flushes the oldest staged
-// event is overwritten (drop-oldest) and the `trace.dropped` counter is
-// incremented. Time-series buckets are updated at emit time, outside
-// the ring, so a dropped event never corrupts the series; phases are
-// recorded host-side and are never dropped.
+// With tracing enabled, each event is varint-encoded into a growing
+// spill at the emit site; nothing is staged and nothing is dropped.
+// Emitting never schedules events or advances the clock, so tracing on
+// is also metric-neutral — it only spends host time and memory.
 package trace
 
-import (
-	"encoding/binary"
-
-	"stash/internal/stats"
-)
+import "encoding/binary"
 
 // Kind classifies a trace event.
 type Kind uint8
@@ -84,8 +73,7 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Event is one trace record. Events are value types staged in a fixed
-// ring, so emitting one never allocates.
+// Event is one decoded trace record (see Timeline.Events).
 type Event struct {
 	Cycle uint64
 	Kind  Kind
@@ -105,22 +93,11 @@ type Phase struct {
 type Options struct {
 	// BucketCycles is the time-series window width (default 1024).
 	BucketCycles uint64
-	// BufferEvents is the staging ring capacity (default 65536).
-	BufferEvents int
-	// FlushEvery is the engine-probe drain period in executed events
-	// (default 4096).
-	FlushEvery uint64
 }
 
 func (o Options) withDefaults() Options {
 	if o.BucketCycles == 0 {
 		o.BucketCycles = 1024
-	}
-	if o.BufferEvents <= 0 {
-		o.BufferEvents = 1 << 16
-	}
-	if o.FlushEvery == 0 {
-		o.FlushEvery = 4096
 	}
 	return o
 }
@@ -167,12 +144,19 @@ type Sink struct {
 	track uint16
 }
 
-// Event stages one trace event.
+// Event appends one trace event to the collector's spill.
+//
+// It stays out of line so that every emit site costs the inliner one
+// call. Inlined, its body pushed small hot wrappers that emit, such as
+// gpu's traceStall and noc's TracePacket, over the inlining budget, and
+// untraced Fig. 6 runs measured 4% slower.
+//
+//go:noinline
 func (s *Sink) Event(cycle uint64, k Kind, arg, arg2 uint64) {
 	if s == nil {
 		return
 	}
-	s.c.emit(Event{Cycle: cycle, Kind: k, Track: s.track, Arg: arg, Arg2: arg2})
+	s.c.encode(Event{Cycle: cycle, Kind: k, Track: s.track, Arg: arg, Arg2: arg2})
 }
 
 // Series returns the counter series <track>.<name>, creating it on
@@ -201,22 +185,16 @@ func (s *Sink) Name() string {
 	return s.c.tracks[s.track]
 }
 
-// Collector owns the staging ring, the encoded event spill, the
-// time-series registry, and the phase list for one simulated system.
-// It is not safe for concurrent use; each sweep cell builds its own.
+// Collector owns the encoded event spill, the time-series registry,
+// and the phase list for one simulated system. It is not safe for
+// concurrent use; each sweep cell builds its own.
 type Collector struct {
 	opts   Options
 	tracks []string
 
-	ring    []Event
-	head, n int
-
 	enc     []byte // varint event spill, cycles delta-encoded
 	nEvents int
 	lastCyc uint64
-
-	dropped    uint64
-	droppedCtr *stats.Counter
 
 	seriesByName map[string]*Series
 	seriesOrder  []*Series
@@ -225,19 +203,12 @@ type Collector struct {
 	open   []int // indices of phases awaiting PhaseEnd (a stack)
 }
 
-// NewCollector builds a collector. set receives the `trace.dropped`
-// counter; it may be nil in tests.
-func NewCollector(opts Options, set *stats.Set) *Collector {
-	opts = opts.withDefaults()
-	c := &Collector{
-		opts:         opts,
-		ring:         make([]Event, opts.BufferEvents),
+// NewCollector builds a collector.
+func NewCollector(opts Options) *Collector {
+	return &Collector{
+		opts:         opts.withDefaults(),
 		seriesByName: make(map[string]*Series),
 	}
-	if set != nil {
-		c.droppedCtr = set.Counter("trace.dropped")
-	}
-	return c
 }
 
 // Sink registers a new track and returns its emitter. Tracks must be
@@ -267,55 +238,14 @@ func (c *Collector) series(name string, gauge bool) *Series {
 	return s
 }
 
-// BucketCycles reports the configured time-series window width.
-func (c *Collector) BucketCycles() uint64 { return c.opts.BucketCycles }
-
-// FlushEvery reports the configured probe drain period, for installing
-// the flush probe via sim.Engine.AddProbe.
-func (c *Collector) FlushEvery() uint64 { return c.opts.FlushEvery }
-
-// emit stages one event, overwriting the oldest staged event when the
-// ring is full (drop-oldest).
-func (c *Collector) emit(ev Event) {
-	if c.n == len(c.ring) {
-		c.ring[c.head] = ev
-		c.head++
-		if c.head == len(c.ring) {
-			c.head = 0
-		}
-		c.dropped++
-		if c.droppedCtr != nil {
-			c.droppedCtr.Inc()
-		}
-		return
-	}
-	i := c.head + c.n
-	if i >= len(c.ring) {
-		i -= len(c.ring)
-	}
-	c.ring[i] = ev
-	c.n++
-}
-
-// Flush drains the staging ring into the encoded spill. It is the
-// engine flush probe: host-side only, never schedules or advances the
-// clock.
-func (c *Collector) Flush() {
-	for ; c.n > 0; c.n-- {
-		ev := c.ring[c.head]
-		c.head++
-		if c.head == len(c.ring) {
-			c.head = 0
-		}
-		c.encode(ev)
-	}
-}
+// maxEventBytes bounds one encoded event: four varints and a kind byte.
+const maxEventBytes = 4*binary.MaxVarintLen64 + 1
 
 // encode appends one event to the spill. Cycles are delta-encoded:
-// events drain in emission order and the engine clock never moves
-// backwards, so the delta is always non-negative.
+// events are encoded in emission order and the engine clock never
+// moves backwards, so the delta is always non-negative.
 func (c *Collector) encode(ev Event) {
-	var buf [4*binary.MaxVarintLen64 + 1]byte
+	var buf [maxEventBytes]byte
 	n := binary.PutUvarint(buf[:], ev.Cycle-c.lastCyc)
 	c.lastCyc = ev.Cycle
 	buf[n] = byte(ev.Kind)
@@ -347,22 +277,16 @@ func (c *Collector) PhaseEnd(cycle uint64) {
 	c.phases[i].End = cycle
 }
 
-// Dropped reports how many staged events were overwritten so far.
-func (c *Collector) Dropped() uint64 { return c.dropped }
-
-// Finish drains the ring one last time, closes any phases left open at
-// endCycle (a crashed cell exits mid-phase), and returns the completed
-// Timeline. The collector keeps no references to the returned data and
-// must not be used afterwards.
+// Finish closes any phases left open at endCycle (a crashed cell exits
+// mid-phase) and returns the completed Timeline. The collector keeps no
+// references to the returned data and must not be used afterwards.
 func (c *Collector) Finish(endCycle uint64) *Timeline {
-	c.Flush()
 	for len(c.open) > 0 {
 		c.PhaseEnd(endCycle)
 	}
 	tl := &Timeline{
 		BucketCycles: c.opts.BucketCycles,
 		EndCycle:     endCycle,
-		Dropped:      c.dropped,
 		Tracks:       c.tracks,
 		Phases:       c.phases,
 		Series:       make([]SeriesData, 0, len(c.seriesOrder)),
@@ -390,7 +314,6 @@ type SeriesData struct {
 type Timeline struct {
 	BucketCycles uint64
 	EndCycle     uint64
-	Dropped      uint64
 	Tracks       []string
 	Phases       []Phase
 	Series       []SeriesData

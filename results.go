@@ -44,7 +44,7 @@ type Result struct {
 	// Timeline is the run's event trace, non-nil exactly when the
 	// Config's Trace was set. Failed runs carry the partial timeline up
 	// to the failure. Its JSON form is a compact summary; write the
-	// full trace with Timeline.WriteChrome or Timeline.WriteBinary.
+	// full trace with Timeline.WriteChrome.
 	Timeline *Timeline `json:",omitempty"`
 }
 

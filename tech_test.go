@@ -10,7 +10,7 @@ import (
 // cells spanning both machine shapes and several organizations, first
 // captured immediately before the technology axes were added to Config
 // and repinned at each fingerprintVersion bump since (now
-// stash-cell-v4). Absent (nil) tech fields must keep every pre-existing
+// stash-cell-v5). Absent (nil) tech fields must keep every pre-existing
 // cell-cache entry valid, so these hashes must never move without a
 // fingerprintVersion bump.
 func TestTechFingerprintsUnchangedWithoutTechAxes(t *testing.T) {
@@ -23,16 +23,16 @@ func TestTechFingerprintsUnchangedWithoutTechAxes(t *testing.T) {
 	}{
 		{"implicit/MicroConfig(Stash)",
 			RunSpec{Workload: "implicit", Config: MicroConfig(Stash)},
-			"6f34f56331fd590f588677faf8aee9e6513e19515942264b644638ffa2e6e8aa"},
+			"70423a9dcc0b7ba9a64cda600de87af0e68313288f20ffacc1d6470ab1d7077f"},
 		{"lud/AppConfig(StashG)",
 			RunSpec{Workload: "lud", Config: AppConfig(StashG)},
-			"4e00c943c32d2e2d62555bd2ba11e97fd3eedb8d84670cefb64d437c8f6959df"},
+			"9b52d1c88232a9ab3b17c70b724428b5d503ef6c021d6e25ad13da5d8a15f113"},
 		{"reuse/MicroConfig(Cache)",
 			RunSpec{Workload: "reuse", Config: MicroConfig(Cache)},
-			"1d8503f9500c43742603ef81c856d2ad8cd10733adcf508f2776adcbdd54b8ce"},
+			"53f80327684d1e6be9de2773e7b5c072bec8afbb3992c4c81bfb78a90af7a3b6"},
 		{"sgemm/AppConfig(Scratch)+ChunkWords=4",
 			RunSpec{Workload: "sgemm", Config: chunk4},
-			"00c715162ca6691242478aa098ee91ebf5bc9ce4a193bc381545d6298952d774"},
+			"9e0cfaf4cebc4867d6d3d471c16cc9359fa5239acd1506bbd9865944616380d8"},
 	} {
 		fp, err := tc.spec.Fingerprint()
 		if err != nil {

@@ -17,12 +17,6 @@ type TraceConfig struct {
 	// BucketCycles is the time-series window width in cycles. Zero
 	// selects the default of 1024.
 	BucketCycles uint64 `json:"bucket_cycles,omitempty"`
-	// BufferEvents is the event staging-ring capacity. When the
-	// simulator out-emits the periodic drain, the oldest staged events
-	// are dropped (counted in Timeline.Dropped and the "trace.dropped"
-	// counter) rather than growing without bound. Zero selects the
-	// default of 65536.
-	BufferEvents int `json:"buffer_events,omitempty"`
 }
 
 // maxTraceBucket bounds the time-series window width; a wider window
@@ -37,9 +31,6 @@ func (t *TraceConfig) validate() error {
 	if t.BucketCycles > maxTraceBucket {
 		return fmt.Errorf("stash: invalid Trace.BucketCycles %d: want at most %d", t.BucketCycles, uint64(maxTraceBucket))
 	}
-	if t.BufferEvents < 0 || t.BufferEvents > 1<<28 {
-		return fmt.Errorf("stash: invalid Trace.BufferEvents %d: want 0 (default) to %d", t.BufferEvents, 1<<28)
-	}
 	return nil
 }
 
@@ -47,10 +38,7 @@ func (t *TraceConfig) internal() *trace.Options {
 	if t == nil {
 		return nil
 	}
-	return &trace.Options{
-		BucketCycles: t.BucketCycles,
-		BufferEvents: t.BufferEvents,
-	}
+	return &trace.Options{BucketCycles: t.BucketCycles}
 }
 
 // Timeline is the completed trace of one run: typed component events,
@@ -68,24 +56,8 @@ type Timeline struct {
 // render as counter tracks. One simulated cycle maps to 1 µs.
 func (t *Timeline) WriteChrome(w io.Writer) error { return t.tl.WriteChrome(w) }
 
-// WriteBinary writes the compact binary form (see DecodeTimeline).
-func (t *Timeline) WriteBinary(w io.Writer) error { return t.tl.WriteBinary(w) }
-
-// DecodeTimeline reads a timeline previously written by WriteBinary.
-func DecodeTimeline(r io.Reader) (*Timeline, error) {
-	tl, err := trace.Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Timeline{tl: tl}, nil
-}
-
-// NumEvents reports how many events the timeline holds (after any
-// ring-overflow drops).
+// NumEvents reports how many events the timeline holds.
 func (t *Timeline) NumEvents() int { return t.tl.NumEvents() }
-
-// Dropped reports how many events were lost to ring overflow.
-func (t *Timeline) Dropped() uint64 { return t.tl.Dropped }
 
 // EndCycle is the simulated time the timeline covers.
 func (t *Timeline) EndCycle() uint64 { return t.tl.EndCycle }
@@ -135,11 +107,9 @@ func (t *Timeline) Series(name string) ([]uint64, bool) {
 }
 
 // timelineSummary is the JSON shape of a Timeline: sweep outputs embed
-// the summary, not the event payload (write that with WriteChrome or
-// WriteBinary).
+// the summary, not the event payload (write that with WriteChrome).
 type timelineSummary struct {
 	Events       int      `json:"events"`
-	Dropped      uint64   `json:"dropped,omitempty"`
 	EndCycle     uint64   `json:"end_cycle"`
 	BucketCycles uint64   `json:"bucket_cycles"`
 	Tracks       int      `json:"tracks"`
@@ -152,7 +122,6 @@ type timelineSummary struct {
 func (t *Timeline) MarshalJSON() ([]byte, error) {
 	s := timelineSummary{
 		Events:       t.tl.NumEvents(),
-		Dropped:      t.tl.Dropped,
 		EndCycle:     t.tl.EndCycle,
 		BucketCycles: t.tl.BucketCycles,
 		Tracks:       len(t.tl.Tracks),

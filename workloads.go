@@ -6,7 +6,6 @@ import (
 	"runtime/debug"
 
 	"stash/internal/check"
-	"stash/internal/sim"
 	"stash/internal/system"
 	"stash/internal/workloads"
 )
@@ -62,6 +61,11 @@ func RunWorkloadCfg(name string, cfg Config) (Result, error) {
 // time.
 const interruptStride = 4096
 
+// interrupted is the panic value the cancellation probe unwinds a
+// canceled run with; RunWorkloadContext recovers it and returns the
+// context's error, so it never escapes this package.
+type interrupted struct{}
+
 // RunWorkloadContext is RunWorkloadCfg under a context: a long
 // simulation stops within interruptStride engine events of ctx being
 // canceled and returns ctx's error. RunWorkload and RunWorkloadCfg are
@@ -90,12 +94,11 @@ func RunWorkloadContext(ctx context.Context, name string, cfg Config) (res Resul
 	}
 	s := system.New(icfg)
 	if done := ctx.Done(); done != nil {
-		s.Eng.SetInterrupt(interruptStride, func() bool {
+		s.Eng.AddProbe(interruptStride, func() {
 			select {
 			case <-done:
-				return true
+				panic(interrupted{})
 			default:
-				return false
 			}
 		})
 	}
@@ -112,7 +115,7 @@ func RunWorkloadContext(ctx context.Context, name string, cfg Config) (res Resul
 			res.Timeline = &Timeline{tl: tl}
 		}
 		switch v := r.(type) {
-		case sim.Interrupted:
+		case interrupted:
 			err = fmt.Errorf("stash: %s on %v canceled: %w", name, cfg.Org, context.Cause(ctx))
 		case *check.HangError:
 			err = &CellError{Workload: name, Org: cfg.Org, Kind: FailHang, Msg: v.Error(), Diagnostic: v.Dump}
