@@ -158,7 +158,10 @@ type Config struct {
 	// WatchdogBudget arms the deadlock/livelock watchdog: if no protocol
 	// transaction completes for this many simulated cycles while work is
 	// outstanding, the run fails with a *CellError of kind FailHang
-	// instead of spinning forever. Zero disables the watchdog.
+	// instead of spinning forever. Zero disables the watchdog. The
+	// budget is checked once per 4096 executed events, not every cycle,
+	// so a hang is reported up to one such period late, and a stall that
+	// ends within a period is never reported.
 	WatchdogBudget uint64 `json:"watchdog_budget,omitempty"`
 	// Faults, when non-nil, injects a deterministic timing-fault
 	// schedule (for robustness testing; see FaultConfig).
