@@ -106,9 +106,14 @@ func main() {
 	}
 }
 
+// writeJSON writes the -json dump. An experiment that simulates
+// nothing (a table) still writes one document, the empty array.
 func writeJSON() {
-	if sweepFlags.JSONOut == "" || len(sweptResults) == 0 {
+	if sweepFlags.JSONOut == "" {
 		return
+	}
+	if sweptResults == nil {
+		sweptResults = []stash.SweepResult{}
 	}
 	cliutil.WriteJSON(sweepFlags.JSONOut, sweptResults)
 }
@@ -219,7 +224,7 @@ func writeTraces(figure string, results []stash.SweepResult) {
 			continue
 		}
 		p := filepath.Join(*traceDir, fmt.Sprintf("%s-%s-%s.json", figure, r.Spec.Workload, r.Spec.Config.Org))
-		if err := cliutil.WriteTimeline(p, "chrome", tl); err != nil {
+		if err := cliutil.WriteTimeline(p, tl); err != nil {
 			log.Fatal(err)
 		}
 	}
