@@ -104,80 +104,89 @@ func writeGolden(t *testing.T) {
 	t.Logf("wrote %d golden entries to %s", len(entries), goldenPath)
 }
 
-// TestGoldenChecksNeutral replays one representative cell with the
-// full hardening instrumentation armed — invariant sweeps plus the
-// watchdog — and requires bit-identical metrics to the golden table.
-// The checker is a host-side probe that never schedules events or
-// advances the clock, so "checks on" must be invisible to every
-// simulated number.
-func TestGoldenChecksNeutral(t *testing.T) {
+// checkGolden requires res to match golden entry e: the named columns
+// first, for a readable diff, then the digest of the whole Result.
+func checkGolden(t *testing.T, e goldenEntry, res Result) {
+	t.Helper()
+	if res.Cycles != e.Cycles {
+		t.Errorf("Cycles = %d, golden %d", res.Cycles, e.Cycles)
+	}
+	if res.EnergyPJ != e.EnergyPJ {
+		t.Errorf("EnergyPJ = %v, golden %v", res.EnergyPJ, e.EnergyPJ)
+	}
+	if res.GPUInstructions != e.Instructions {
+		t.Errorf("Instructions = %d, golden %d", res.GPUInstructions, e.Instructions)
+	}
+	for class, want := range e.FlitHops {
+		if got := res.FlitHops[class]; got != want {
+			t.Errorf("FlitHops[%s] = %d, golden %d", class, got, want)
+		}
+	}
+	if got := resultDigest(t, res); got != e.ResultSHA256 {
+		t.Errorf("Result SHA-256 = %s, golden %s", got, e.ResultSHA256)
+	}
+}
+
+// forGoldenMicro runs fn as a subtest on each microbenchmark cell of the
+// golden table (the 24 Figure 5 cells), with that cell's configuration.
+func forGoldenMicro(t *testing.T, fn func(t *testing.T, e goldenEntry, cfg Config)) {
+	cells := 0
 	for _, e := range readGolden(t) {
-		if e.Workload != "implicit" || e.Org != "Stash" {
+		if !IsMicrobenchmark(e.Workload) {
 			continue
 		}
-		cfg := MicroConfig(Stash)
+		cells++
+		t.Run(e.Workload+"/"+e.Org, func(t *testing.T) {
+			org, err := ParseMemOrg(e.Org)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(t, e, MicroConfig(org))
+		})
+	}
+	if want := len(Microbenchmarks()) * len(Orgs()); cells != want {
+		t.Fatalf("golden table has %d microbenchmark cells, want %d", cells, want)
+	}
+}
+
+// TestGoldenChecksNeutral replays every Figure 5 cell with the full
+// hardening instrumentation armed — invariant sweeps plus the watchdog
+// — and requires a Result identical to the golden table's. The checker
+// is a host-side probe that never schedules events or advances the
+// clock, so "checks on" must be invisible to every simulated number.
+func TestGoldenChecksNeutral(t *testing.T) {
+	forGoldenMicro(t, func(t *testing.T, e goldenEntry, cfg Config) {
 		cfg.CheckInvariants = true
 		cfg.WatchdogBudget = 1 << 24
 		res, err := RunWorkloadCfg(e.Workload, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cycles != e.Cycles {
-			t.Errorf("Cycles = %d, golden %d", res.Cycles, e.Cycles)
-		}
-		if res.EnergyPJ != e.EnergyPJ {
-			t.Errorf("EnergyPJ = %v, golden %v", res.EnergyPJ, e.EnergyPJ)
-		}
-		if res.GPUInstructions != e.Instructions {
-			t.Errorf("Instructions = %d, golden %d", res.GPUInstructions, e.Instructions)
-		}
-		for class, want := range e.FlitHops {
-			if got := res.FlitHops[class]; got != want {
-				t.Errorf("FlitHops[%s] = %d, golden %d", class, got, want)
-			}
-		}
-		return
-	}
-	t.Fatal("golden table has no implicit/Stash entry")
+		checkGolden(t, e, res)
+	})
 }
 
-// TestGoldenTraceNeutral replays a representative cell with event
-// tracing armed and requires bit-identical metrics to the golden
-// table: trace sinks are host-side observers that never schedule
-// events, advance the clock, or charge energy, so "tracing on" must be
-// invisible to every simulated number — while still producing a
-// populated timeline (component tracks, phases, and the headline
-// time-series).
+// TestGoldenTraceNeutral replays every Figure 5 cell with event tracing
+// armed and requires a Result identical to the golden table's once its
+// Timeline is set aside: trace sinks are host-side observers that never
+// schedule events, advance the clock, charge energy, or count, so
+// "tracing on" must be invisible to every simulated number — while
+// still producing a populated timeline (component tracks, phases, and
+// the headline time-series).
 func TestGoldenTraceNeutral(t *testing.T) {
-	for _, e := range readGolden(t) {
-		if e.Workload != "implicit" || e.Org != "Stash" {
-			continue
-		}
-		cfg := MicroConfig(Stash)
+	forGoldenMicro(t, func(t *testing.T, e goldenEntry, cfg Config) {
 		cfg.Trace = &TraceConfig{}
 		res, err := RunWorkloadCfg(e.Workload, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Cycles != e.Cycles {
-			t.Errorf("Cycles = %d, golden %d", res.Cycles, e.Cycles)
-		}
-		if res.EnergyPJ != e.EnergyPJ {
-			t.Errorf("EnergyPJ = %v, golden %v", res.EnergyPJ, e.EnergyPJ)
-		}
-		if res.GPUInstructions != e.Instructions {
-			t.Errorf("Instructions = %d, golden %d", res.GPUInstructions, e.Instructions)
-		}
-		for class, want := range e.FlitHops {
-			if got := res.FlitHops[class]; got != want {
-				t.Errorf("FlitHops[%s] = %d, golden %d", class, got, want)
-			}
-		}
-
 		tl := res.Timeline
 		if tl == nil {
 			t.Fatal("traced run returned no Timeline")
 		}
+		res.Timeline = nil
+		checkGolden(t, e, res)
+
 		if tl.NumEvents() == 0 {
 			t.Error("timeline holds no events")
 		}
@@ -186,6 +195,9 @@ func TestGoldenTraceNeutral(t *testing.T) {
 		}
 		if len(tl.Phases()) == 0 {
 			t.Error("timeline has no phase annotations")
+		}
+		if e.Workload != "implicit" || e.Org != "Stash" {
+			return
 		}
 		sum := func(vals []uint64) uint64 {
 			var s uint64
@@ -220,9 +232,7 @@ func TestGoldenTraceNeutral(t *testing.T) {
 		if linkFlits == 0 {
 			t.Error("per-link NoC flit series recorded no traffic")
 		}
-		return
-	}
-	t.Fatal("golden table has no implicit/Stash entry")
+	})
 }
 
 // TestGoldenMetrics replays the full grid and requires exact equality
@@ -252,23 +262,7 @@ func TestGoldenMetrics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Cycles != e.Cycles {
-				t.Errorf("Cycles = %d, golden %d", res.Cycles, e.Cycles)
-			}
-			if res.EnergyPJ != e.EnergyPJ {
-				t.Errorf("EnergyPJ = %v, golden %v", res.EnergyPJ, e.EnergyPJ)
-			}
-			if res.GPUInstructions != e.Instructions {
-				t.Errorf("Instructions = %d, golden %d", res.GPUInstructions, e.Instructions)
-			}
-			for class, want := range e.FlitHops {
-				if got := res.FlitHops[class]; got != want {
-					t.Errorf("FlitHops[%s] = %d, golden %d", class, got, want)
-				}
-			}
-			if got := resultDigest(t, res); got != e.ResultSHA256 {
-				t.Errorf("Result SHA-256 = %s, golden %s", got, e.ResultSHA256)
-			}
+			checkGolden(t, e, res)
 		})
 	}
 }
