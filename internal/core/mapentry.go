@@ -152,18 +152,91 @@ func (m MapParams) sameTile(o MapParams) bool {
 		m.NumRows == o.NumRows
 }
 
-// pages returns the distinct virtual pages the mapping touches, in
-// ascending order; this is what the VP-map must hold.
-func (e *mapEntry) pages() []memdata.VAddr {
-	seen := make(map[memdata.VAddr]bool)
-	var out []memdata.VAddr
-	total := e.Words()
-	for off := 0; off < total; off += 1 {
-		p := e.stashToVirt(e.StashBase+off) &^ 4095
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
+// lineWords reverse-translates the 16 words of the virtual line at
+// vline at once. soff[w] is the absolute stash offset holding word w,
+// equal to virtToStash of the word's address, or -1 when the tile does
+// not hold the word. exact has bit w set when stashToVirt(soff[w]) is
+// word w's own address. In a row that starts off a word boundary (a
+// stride that is not a multiple of 4), stashToVirt puts each stash word
+// 1–3 bytes before the word that maps to it, and those bits stay clear.
+// The tile position is found once, by division, for the first word at
+// or past GlobalBase, and then stepped word by word.
+func (e *mapEntry) lineWords(vline memdata.VAddr, soff *[memdata.WordsPerLine]int32) (exact memdata.WordMask) {
+	w := 0
+	if vline < e.GlobalBase {
+		w = int(e.GlobalBase-vline) / memdata.WordBytes
+	}
+	for i := 0; i < w && i < memdata.WordsPerLine; i++ {
+		soff[i] = -1
+	}
+	if w >= memdata.WordsPerLine {
+		return 0
+	}
+	d := int(vline+memdata.VAddr(w*memdata.WordBytes)) - int(e.GlobalBase)
+	row, rem := 0, d
+	multiRow := e.NumRows > 1
+	if multiRow {
+		row, rem = d/e.StrideBytes, d%e.StrideBytes
+	}
+	col, inObj := rem/e.ObjectBytes, rem%e.ObjectBytes
+	for ; w < memdata.WordsPerLine; w++ {
+		if row < e.NumRows && col < e.RowElems && inObj < e.FieldBytes {
+			soff[w] = int32(e.StashBase + (row*e.RowElems+col)*e.fieldWords + inObj/memdata.WordBytes)
+			if inObj%memdata.WordBytes == 0 {
+				exact |= memdata.Bit(w)
+			}
+		} else {
+			soff[w] = -1
+		}
+		rem += memdata.WordBytes
+		if multiRow && rem >= e.StrideBytes {
+			// rem was below the stride, so the next row starts at most a
+			// word back and the word lands in its first object.
+			row++
+			rem -= e.StrideBytes
+			col, inObj = 0, rem
+			continue
+		}
+		inObj += memdata.WordBytes
+		if inObj >= e.ObjectBytes {
+			col++
+			inObj -= e.ObjectBytes
 		}
 	}
-	return out
+	return exact
+}
+
+// pages returns the distinct virtual pages the mapping touches, in
+// ascending order; this is what the VP-map must hold. Tile words
+// ascend in address, since a row never overlaps the next, so a page is
+// new exactly when it passes the last one appended. A row's fields cover
+// every page between its first and last word unless the gap between two
+// fields can hold a whole page; only then are the fields walked one by
+// one.
+func (e *mapEntry) pages() []memdata.VAddr {
+	const pageMask = 4095
+	var buf []memdata.VAddr
+	add := func(first, last memdata.VAddr) {
+		p := first &^ pageMask
+		if n := len(buf); n > 0 && p <= buf[n-1] {
+			p = buf[n-1] + pageMask + 1
+		}
+		for ; p <= last; p += pageMask + 1 {
+			buf = append(buf, p)
+		}
+	}
+	fieldLast := memdata.VAddr(e.FieldBytes - memdata.WordBytes)
+	gapped := e.ObjectBytes-e.FieldBytes > pageMask
+	for row := 0; row < e.NumRows; row++ {
+		start := e.GlobalBase + memdata.VAddr(row*e.StrideBytes)
+		if !gapped {
+			add(start, start+memdata.VAddr((e.RowElems-1)*e.ObjectBytes)+fieldLast)
+			continue
+		}
+		for col := 0; col < e.RowElems; col++ {
+			f := start + memdata.VAddr(col*e.ObjectBytes)
+			add(f, f+fieldLast)
+		}
+	}
+	return buf
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -20,7 +21,7 @@ import (
 // Params configures a stash.
 type Params struct {
 	SizeBytes    int
-	Banks        int
+	Banks        int // a power of two
 	HitLat       sim.Cycle
 	TranslateLat sim.Cycle // stash address translation on a miss (Table 2: 10 cycles)
 	MapEntries   int       // stash-map size (Table 2: 64)
@@ -88,12 +89,25 @@ type readMSHR struct {
 // several global lines is attached to every line's MSHR; fired ensures
 // it completes exactly once. attached counts the MSHR waiter lists
 // still referencing it, so a fired waiter returns to the pool only once
-// every list has dropped it.
+// every list has dropped it. The miss plan rides on the waiter until
+// the translation delay ends and issue, bound once to issueMiss,
+// requests its lines.
 type stashWaiter struct {
 	offsets  []int // waiter-owned copy of the access's stash offsets
 	done     func(vals []uint32)
+	plan     *fillPlan
+	issue    func()
 	fired    bool
 	attached int
+}
+
+// loadResult is a pooled load completion: the values gathered for a
+// warp load, handed to its callback by run, which is bound once.
+type loadResult struct {
+	s    *Stash
+	vals []uint32
+	done func(vals []uint32)
+	run  func()
 }
 
 // fillLine records, for one global line of a fill or registration plan,
@@ -210,7 +224,8 @@ type Stash struct {
 	vp     *vpMap
 	tables map[int][]int // thread block -> map index table
 
-	chunk int // writeback chunk granularity in words (Params.ChunkWords)
+	chunk      int  // writeback chunk granularity in words (Params.ChunkWords)
+	chunkShift uint // log2(chunk)
 
 	mshrs      map[memdata.PAddr]*readMSHR
 	pendingReg map[memdata.PAddr]*regPend
@@ -245,13 +260,14 @@ type Stash struct {
 	waiterFree  []*stashWaiter
 	regPendFree []*regPend
 	planFree    []*fillPlan
-	valsFree    [][]uint32
+	resultFree  []*loadResult
 	tableFree   [][]int
 	wbScratch   wbPlan
 	missScratch []int
-	bankCnt     []int // per-bank distinct-offset count, zeroed between calls
-	bankTouched []int
-	blkOwned    []bool // per-map-entry flag scratch for EndThreadBlock
+	// banks counts bank-conflict rounds; between counts, the miss
+	// planner borrows its per-word marks.
+	banks    *memdata.BankCounter
+	blkOwned []bool // per-map-entry flag scratch for EndThreadBlock
 
 	hits        *stats.Counter
 	misses      *stats.Counter
@@ -287,6 +303,7 @@ func New(eng *sim.Engine, net *noc.Network, node int, name string, p Params, as 
 		as:         as,
 		acct:       acct,
 		chunk:      chunk,
+		chunkShift: uint(bits.TrailingZeros(uint(chunk))),
 		words:      make([]uint32, nwords),
 		state:      make([]coh.State, nwords),
 		chunkMap:   make([]int, nwords/chunk),
@@ -298,7 +315,7 @@ func New(eng *sim.Engine, net *noc.Network, node int, name string, p Params, as 
 		mshrs:      make(map[memdata.PAddr]*readMSHR),
 		pendingReg: make(map[memdata.PAddr]*regPend),
 		wbuf:       coh.NewWBBuffer(),
-		bankCnt:    make([]int, p.Banks),
+		banks:      memdata.NewBankCounter(nwords, p.Banks),
 		blkOwned:   make([]bool, p.MapEntries),
 
 		hits:        set.Counter(fmt.Sprintf("stash.%s.hits", name)),
@@ -351,6 +368,7 @@ func (s *Stash) acquireWaiter(offsets []int, done func([]uint32)) *stashWaiter {
 		s.waiterFree = s.waiterFree[:n-1]
 	} else {
 		w = &stashWaiter{}
+		w.issue = func() { s.issueMiss(w) }
 	}
 	w.offsets = append(w.offsets[:0], offsets...)
 	w.done = done
@@ -625,7 +643,7 @@ func (s *Stash) flushEntryChunks(idx int) {
 
 func (s *Stash) invalidateRangeExceptPendingWB(base, nwords int) {
 	for off := base; off < base+nwords; off++ {
-		c := off / s.chunk
+		c := off >> s.chunkShift
 		if s.chunkWB[c] || s.chunkDirty[c] {
 			continue // lazy writeback pending; first touch flushes it
 		}
@@ -656,36 +674,6 @@ func (s *Stash) registerLocalDirty(idx int) {
 
 // --- access path ---
 
-// conflictRounds returns the number of serialized bank rounds a warp
-// access needs: the maximum number of distinct word offsets mapping to
-// the same bank (same-offset lanes broadcast for free). Distinct
-// offsets are deduplicated by a quadratic scan — a warp has at most
-// warpSize offsets — and counted in a reusable per-bank array.
-func (s *Stash) conflictRounds(offsets []int) int {
-	rounds := 1
-outer:
-	for i, off := range offsets {
-		for _, prev := range offsets[:i] {
-			if prev == off {
-				continue outer
-			}
-		}
-		b := off % s.p.Banks
-		if s.bankCnt[b] == 0 {
-			s.bankTouched = append(s.bankTouched, b)
-		}
-		s.bankCnt[b]++
-		if s.bankCnt[b] > rounds {
-			rounds = s.bankCnt[b]
-		}
-	}
-	for _, b := range s.bankTouched {
-		s.bankCnt[b] = 0
-	}
-	s.bankTouched = s.bankTouched[:0]
-	return rounds
-}
-
 func (s *Stash) checkOffsets(offsets []int) {
 	for _, off := range offsets {
 		if off < 0 || off >= len(s.words) {
@@ -698,7 +686,7 @@ func (s *Stash) checkOffsets(offsets []int) {
 // an access by mapping idx to a chunk whose pending writeback belongs
 // to an older mapping triggers the lazy writeback now.
 func (s *Stash) touchChunk(off, idx int) {
-	c := off / s.chunk
+	c := off >> s.chunkShift
 	if s.chunkWB[c] && s.chunkMap[c] != idx {
 		s.flushChunk(c)
 	}
@@ -744,15 +732,11 @@ func (s *Stash) Load(tb, slot int, offsets []int, done func(vals []uint32)) {
 		missing = append(missing, off)
 	}
 
-	rounds := s.conflictRounds(offsets)
+	rounds := s.banks.Rounds(offsets)
 	if len(missing) == 0 {
 		s.hits.Inc()
 		s.acct.Add(energy.StashRead, uint64(rounds))
-		vals := s.gather(offsets)
-		s.eng.Schedule(s.p.HitLat*sim.Cycle(rounds)+s.p.ReadExtra, func() {
-			done(vals)
-			s.releaseVals(vals)
-		})
+		s.deliver(s.p.HitLat*sim.Cycle(rounds)+s.p.ReadExtra, offsets, done)
 		return
 	}
 	s.misses.Inc()
@@ -766,8 +750,15 @@ func (s *Stash) Load(tb, slot int, offsets []int, done func(vals []uint32)) {
 	// Miss: translate (six ALU ops through the stash-map plus a VP-map
 	// TLB access), then request the missing global lines, compactly
 	// filling every still-invalid stash word that maps to each line.
+	// Planning a line marks the stash words it exactly covers, so a
+	// sibling miss in a planned line is skipped without translating it.
 	plan := s.acquirePlan() // global line -> line word -> stash offset
+	planned := &s.banks.Marks
+	planned.Reset()
 	for _, off := range missing {
+		if planned.Has(off) {
+			continue
+		}
 		va := e.stashToVirt(off)
 		pa := s.vp.translate(va)
 		line := memdata.LineOf(pa)
@@ -775,38 +766,48 @@ func (s *Stash) Load(tb, slot int, offsets []int, done func(vals []uint32)) {
 			continue // already planned by a sibling miss
 		}
 		fl := plan.insert(line)
-		vline := memdata.VLineOf(va)
-		for w := 0; w < memdata.WordsPerLine; w++ {
-			wa := vline + memdata.VAddr(w*memdata.WordBytes)
-			soff, ok := e.virtToStash(wa)
-			if !ok || s.state[soff] != coh.Invalid {
+		exact := e.lineWords(memdata.VLineOf(va), &fl.soff)
+		for w, soff := range fl.soff {
+			if soff < 0 {
 				continue
 			}
-			fl.soff[w] = int32(soff)
+			if exact.Has(w) {
+				planned.Add(int(soff))
+			}
+			if s.state[soff] != coh.Invalid {
+				fl.soff[w] = -1
+			}
 		}
 	}
 	s.missScratch = missing[:0]
 	waiter := s.acquireWaiter(offsets, done)
-	s.eng.Schedule(s.p.TranslateLat, func() {
-		attached := false
-		// The plan is address-sorted, which keeps line-request issue
-		// deterministic (map order would perturb downstream timing run
-		// to run).
-		for i := range plan.lines {
-			if s.requestLine(&plan.lines[i], waiter) {
-				attached = true
-			}
+	waiter.plan = plan
+	s.eng.Schedule(s.p.TranslateLat, waiter.issue)
+}
+
+// issueMiss requests the lines of a load miss's plan once its
+// translation delay has passed.
+func (s *Stash) issueMiss(w *stashWaiter) {
+	plan := w.plan
+	w.plan = nil
+	attached := false
+	// The plan is address-sorted, which keeps line-request issue
+	// deterministic (map order would perturb downstream timing run to
+	// run).
+	for i := range plan.lines {
+		if s.requestLine(&plan.lines[i], w) {
+			attached = true
 		}
-		s.releasePlan(plan)
-		if !attached {
-			// Everything arrived (or was filled by a racing request)
-			// between planning and issue; answer from the array.
-			s.completeIfReady(waiter)
-			if waiter.fired && waiter.attached == 0 {
-				s.releaseWaiter(waiter)
-			}
+	}
+	s.releasePlan(plan)
+	if !attached {
+		// Everything arrived (or was filled by a racing request) between
+		// planning and issue; answer from the array.
+		s.completeIfReady(w)
+		if w.fired && w.attached == 0 {
+			s.releaseWaiter(w)
 		}
-	})
+	}
 }
 
 // requestLine asks the LLC for the still-missing words of a global
@@ -858,24 +859,35 @@ func (s *Stash) requestLine(fl *fillLine, w *stashWaiter) bool {
 	return true
 }
 
-// gather reads the offsets' values into a pooled buffer; the caller
-// returns it with releaseVals after the consuming callback has run.
-func (s *Stash) gather(offsets []int) []uint32 {
+// deliver reads the offsets' values now and hands them to done lat
+// cycles later, through a pooled loadResult. The values stay valid only
+// during the callback.
+func (s *Stash) deliver(lat sim.Cycle, offsets []int, done func(vals []uint32)) {
 	s.valsOut++
-	var vals []uint32
-	if n := len(s.valsFree); n > 0 {
-		vals = s.valsFree[n-1][:0]
-		s.valsFree = s.valsFree[:n-1]
+	var r *loadResult
+	if n := len(s.resultFree); n > 0 {
+		r = s.resultFree[n-1]
+		s.resultFree = s.resultFree[:n-1]
+	} else {
+		r = &loadResult{s: s}
+		r.run = r.fire
 	}
+	vals := r.vals[:0]
 	for _, off := range offsets {
 		vals = append(vals, s.words[off])
 	}
-	return vals
+	r.vals, r.done = vals, done
+	s.eng.Schedule(lat, r.run)
 }
 
-func (s *Stash) releaseVals(v []uint32) {
+// fire runs the callback, then returns the result to the pool; the
+// callback may start another load, which must not reuse these values.
+func (r *loadResult) fire() {
+	s := r.s
+	r.done(r.vals)
+	r.done = nil
 	s.valsOut--
-	s.valsFree = append(s.valsFree, v)
+	s.resultFree = append(s.resultFree, r)
 }
 
 // Store performs a warp store. Data is accepted immediately (the warp
@@ -915,7 +927,7 @@ func (s *Stash) Store(tb, slot int, offsets []int, vals []uint32, done func()) {
 		fl.soff[memdata.WordIndex(pa)] = int32(off)
 	}
 
-	rounds := s.conflictRounds(offsets)
+	rounds := s.banks.Rounds(offsets)
 	lat := s.p.HitLat*sim.Cycle(rounds) + s.p.WriteExtra
 	if !anyMiss {
 		s.hits.Inc()
@@ -940,7 +952,7 @@ func (s *Stash) Store(tb, slot int, offsets []int, vals []uint32, done func()) {
 // noteStore maintains the per-chunk dirty bit, stash-map index and the
 // entry's #DirtyData counter (Section 4.2).
 func (s *Stash) noteStore(off, idx int) {
-	c := off / s.chunk
+	c := off >> s.chunkShift
 	if s.chunkDirty[c] && s.chunkMap[c] == idx {
 		return
 	}
@@ -995,12 +1007,7 @@ func (s *Stash) completeIfReady(w *stashWaiter) {
 	}
 	w.fired = true
 	s.waiterFired = true
-	vals := s.gather(w.offsets)
-	done := w.done
-	s.eng.Schedule(s.p.HitLat+s.p.ReadExtra, func() {
-		done(vals)
-		s.releaseVals(vals)
-	})
+	s.deliver(s.p.HitLat+s.p.ReadExtra, w.offsets, w.done)
 }
 
 // --- chunked lazy writeback (Section 4.2) ---

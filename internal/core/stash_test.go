@@ -47,7 +47,12 @@ func newRig(t *testing.T, p Params) *rig {
 			r.l1 = cache.New(eng, net, n, "peer", cache.DefaultParams(), acct, set)
 			router.Attach(coh.ToL1, r.l1)
 		}
-		net.Register(n, func(m *noc.Message) { router.Deliver(m.Payload.(*coh.Packet)) })
+		// Recycle each delivered packet, as the system's wiring does.
+		net.Register(n, func(m *noc.Message) {
+			p := m.Payload.(*coh.Packet)
+			router.Deliver(p)
+			net.ReleasePayload(p)
+		})
 	}
 	return r
 }

@@ -36,9 +36,6 @@ func WordIndex(a PAddr) int { return int(a%LineBytes) / WordBytes }
 // VLineOf returns the line-aligned base of virtual address a.
 func VLineOf(a VAddr) VAddr { return a &^ (LineBytes - 1) }
 
-// VWordIndex returns the index of virtual address a's word within its line.
-func VWordIndex(a VAddr) int { return int(a%LineBytes) / WordBytes }
-
 // WordMask is a bitmask over the 16 words of a line.
 type WordMask uint16
 
@@ -53,6 +50,80 @@ func (m WordMask) Has(i int) bool { return m&Bit(i) != 0 }
 
 // Count returns the number of words in the mask.
 func (m WordMask) Count() int { return bits.OnesCount16(uint16(m)) }
+
+// Marks is a set of word offsets into an SRAM that empties in O(1): an
+// offset is in the set while its mark equals the current generation.
+// One array serves every per-access user of the SRAM in turn; each
+// starts with Reset.
+type Marks struct {
+	gen   uint32
+	marks []uint32
+}
+
+// Reset empties the set.
+func (m *Marks) Reset() {
+	m.gen++
+	if m.gen == 0 { // wrapped: stale marks could alias the new generation
+		clear(m.marks)
+		m.gen = 1
+	}
+}
+
+// Add inserts offset i, reporting whether it was absent.
+func (m *Marks) Add(i int) bool {
+	if m.marks[i] == m.gen {
+		return false
+	}
+	m.marks[i] = m.gen
+	return true
+}
+
+// Has reports whether offset i is in the set.
+func (m *Marks) Has(i int) bool { return m.marks[i] == m.gen }
+
+// BankCounter counts the serialized bank rounds of a warp access to a
+// banked SRAM: the largest number of distinct word offsets that map to
+// one bank, since lanes reading the same offset share one broadcast.
+// Offsets are deduplicated through Marks and the bank is the offset's
+// low bits, so a count is O(len(offsets)).
+type BankCounter struct {
+	Marks         // one mark per SRAM word; free between Rounds calls
+	mask  int     // banks - 1
+	count []int32 // per-bank distinct offsets, zero between calls
+}
+
+// NewBankCounter returns a counter for an SRAM of words words spread
+// over banks banks, which must be a power of two.
+func NewBankCounter(words, banks int) *BankCounter {
+	if banks < 1 || banks&(banks-1) != 0 {
+		panic(fmt.Sprintf("memdata: bank count %d must be a power of two", banks))
+	}
+	return &BankCounter{
+		Marks: Marks{marks: make([]uint32, words)},
+		mask:  banks - 1,
+		count: make([]int32, banks),
+	}
+}
+
+// Rounds returns the bank rounds the access to offsets needs, at least
+// 1. Every offset must be in [0, words).
+func (b *BankCounter) Rounds(offsets []int) int {
+	b.Reset()
+	rounds := int32(1)
+	for _, off := range offsets {
+		if !b.Add(off) {
+			continue
+		}
+		k := off & b.mask
+		n := b.count[k] + 1
+		b.count[k] = n
+		rounds = max(rounds, n)
+	}
+	for _, off := range offsets {
+		b.count[off&b.mask] = 0
+	}
+	return int(rounds)
+}
 
 // Memory page geometry: 4 KB pages, the same granularity the vm package
 // maps at, so a page is the natural unit of physical locality. A cache

@@ -1,6 +1,7 @@
 package memdata
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -127,5 +128,94 @@ func TestAddressDecompositionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// quadraticRounds is the bank-round count the scratchpad and the stash
+// used before BankCounter: distinct offsets found by a quadratic scan,
+// banks by modulo. It is the oracle for TestBankCounterMatchesScan.
+func quadraticRounds(offsets []int, banks int) int {
+	cnt := make([]int, banks)
+	rounds := 1
+outer:
+	for i, off := range offsets {
+		for _, prev := range offsets[:i] {
+			if prev == off {
+				continue outer
+			}
+		}
+		b := off % banks
+		cnt[b]++
+		if cnt[b] > rounds {
+			rounds = cnt[b]
+		}
+	}
+	return rounds
+}
+
+// TestBankCounterMatchesScan draws warp accesses with broadcasts,
+// strided and random offsets and partial warps, and requires the O(n)
+// counter to agree with the quadratic scan on every one. The counter is
+// reused across draws, so a mark or count left behind by one access
+// would show in a later one.
+func TestBankCounterMatchesScan(t *testing.T) {
+	const words = 4096
+	rng := rand.New(rand.NewSource(1))
+	for _, banks := range []int{1, 2, 32} {
+		bc := NewBankCounter(words, banks)
+		for draw := 0; draw < 20000; draw++ {
+			n := rng.Intn(33) // a partial warp, or none
+			offsets := make([]int, n)
+			base, stride := rng.Intn(words), 1+rng.Intn(40)
+			for i := range offsets {
+				switch rng.Intn(4) {
+				case 0: // broadcast of an earlier lane's offset
+					if i > 0 {
+						offsets[i] = offsets[rng.Intn(i)]
+						continue
+					}
+					offsets[i] = base
+				case 1:
+					offsets[i] = rng.Intn(words)
+				default:
+					offsets[i] = (base + i*stride) % words
+				}
+			}
+			if got, want := bc.Rounds(offsets), quadraticRounds(offsets, banks); got != want {
+				t.Fatalf("banks %d, offsets %v: Rounds = %d, scan = %d", banks, offsets, got, want)
+			}
+		}
+	}
+}
+
+// TestMarksGenerationWrap checks that a mark from before the generation
+// counter wraps cannot alias a mark after it.
+func TestMarksGenerationWrap(t *testing.T) {
+	m := Marks{marks: make([]uint32, 4)}
+	m.Reset()
+	m.Add(1)
+	m.gen = ^uint32(0)
+	m.Add(2)
+	m.Reset() // wraps to 0: the array is cleared and the generation restarts at 1
+	for i := range 4 {
+		if m.Has(i) {
+			t.Fatalf("offset %d still marked after the wrap", i)
+		}
+	}
+	if !m.Add(1) || m.Add(1) {
+		t.Fatal("Add after the wrap must insert once")
+	}
+}
+
+func TestBankCounterRejectsNonPowerOfTwo(t *testing.T) {
+	for _, banks := range []int{0, 3, 48} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBankCounter(_, %d) did not panic", banks)
+				}
+			}()
+			NewBankCounter(16, banks)
+		}()
 	}
 }

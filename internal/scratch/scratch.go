@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"stash/internal/energy"
+	"stash/internal/memdata"
 	"stash/internal/sim"
 	"stash/internal/stats"
 )
@@ -16,7 +17,7 @@ import (
 // Params configures a scratchpad.
 type Params struct {
 	SizeBytes int
-	Banks     int
+	Banks     int // a power of two
 	AccessLat sim.Cycle
 }
 
@@ -32,9 +33,8 @@ type Scratchpad struct {
 	words []uint32
 	acct  *energy.Account
 
-	out         []uint32 // reused Load result buffer
-	bankCnt     []int    // per-bank distinct-offset count, zeroed between calls
-	bankTouched []int
+	out   []uint32 // reused Load result buffer
+	banks *memdata.BankCounter
 
 	accesses  *stats.Counter
 	conflicts *stats.Counter
@@ -46,7 +46,7 @@ func New(name string, p Params, acct *energy.Account, set *stats.Set) *Scratchpa
 		p:         p,
 		words:     make([]uint32, p.SizeBytes/4),
 		acct:      acct,
-		bankCnt:   make([]int, p.Banks),
+		banks:     memdata.NewBankCounter(p.SizeBytes/4, p.Banks),
 		accesses:  set.Counter(fmt.Sprintf("scratch.%s.accesses", name)),
 		conflicts: set.Counter(fmt.Sprintf("scratch.%s.conflict_rounds", name)),
 	}
@@ -54,36 +54,6 @@ func New(name string, p Params, acct *energy.Account, set *stats.Set) *Scratchpa
 
 // Words returns the scratchpad capacity in words.
 func (s *Scratchpad) Words() int { return len(s.words) }
-
-// conflictRounds returns the number of serialized bank rounds a warp
-// access needs: the maximum number of distinct word offsets mapping to
-// the same bank (same-offset lanes broadcast for free). Distinct
-// offsets are deduplicated by a quadratic scan — a warp has at most
-// warpSize offsets — and counted in a reusable per-bank array.
-func (s *Scratchpad) conflictRounds(offsets []int) int {
-	rounds := 1
-outer:
-	for i, off := range offsets {
-		for _, prev := range offsets[:i] {
-			if prev == off {
-				continue outer
-			}
-		}
-		b := off % s.p.Banks
-		if s.bankCnt[b] == 0 {
-			s.bankTouched = append(s.bankTouched, b)
-		}
-		s.bankCnt[b]++
-		if s.bankCnt[b] > rounds {
-			rounds = s.bankCnt[b]
-		}
-	}
-	for _, b := range s.bankTouched {
-		s.bankCnt[b] = 0
-	}
-	s.bankTouched = s.bankTouched[:0]
-	return rounds
-}
 
 // Load reads the words at the given word offsets (one per active lane)
 // and returns their values plus the access latency in cycles. The
@@ -119,7 +89,7 @@ func (s *Scratchpad) account(offsets []int) int {
 			panic(fmt.Sprintf("scratch: offset %d out of range (%d words)", off, len(s.words)))
 		}
 	}
-	rounds := s.conflictRounds(offsets)
+	rounds := s.banks.Rounds(offsets)
 	s.accesses.Inc()
 	if rounds > 1 {
 		s.conflicts.Add(uint64(rounds - 1))
