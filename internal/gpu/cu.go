@@ -8,6 +8,7 @@ package gpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stash/internal/cache"
 	"stash/internal/core"
@@ -57,7 +58,8 @@ const (
 
 type warpCtx struct {
 	warp  *isa.Warp
-	state warpState
+	state warpState // written through CU.setState once in the warp list
+	idx   int       // position in CU.warpList, the warp's bit in CU.ready
 	block *blockCtx
 	pend  *isa.Pending // in-flight access awaiting a bound callback
 
@@ -99,6 +101,7 @@ type CU struct {
 	pending     []int // block ids still to dispatch
 	resident    []*blockCtx
 	warpList    []*warpCtx // flattened resident warps (scheduler view)
+	ready       []uint64   // bit i set while warpList[i] is wReady
 	maxResident int        // MaxBlocks clamped by local-memory occupancy
 	freeSlots   []int      // available local SRAM slots
 	rrCursor    int
@@ -303,19 +306,57 @@ func (c *CU) rebuildWarpList() {
 	for _, b := range c.resident {
 		c.warpList = append(c.warpList, b.warps...)
 	}
+	c.ready = append(c.ready[:0], make([]uint64, (len(c.warpList)+63)/64)...)
+	for i, w := range c.warpList {
+		w.idx = i
+		c.setState(w, w.state)
+	}
 	c.rrCursor = 0
 }
 
+// setState moves a warp in the warp list to state st, keeping its
+// ready bit in step.
+func (c *CU) setState(wc *warpCtx, st warpState) {
+	wc.state = st
+	bit := uint64(1) << (wc.idx & 63)
+	if st == wReady {
+		c.ready[wc.idx>>6] |= bit
+	} else {
+		c.ready[wc.idx>>6] &^= bit
+	}
+}
+
+// nextReady returns the first ready warp at or after the round-robin
+// cursor, wrapping once around the warp list, and moves the cursor past
+// it.
 func (c *CU) nextReady() *warpCtx {
-	n := len(c.warpList)
-	for i := 0; i < n; i++ {
-		w := c.warpList[(c.rrCursor+i)%n]
-		if w.state == wReady {
-			c.rrCursor = (c.rrCursor + i + 1) % n
-			return w
+	r := c.ready
+	if len(r) == 0 {
+		return nil
+	}
+	k := c.rrCursor >> 6
+	if w := r[k] >> (c.rrCursor & 63); w != 0 {
+		return c.pick(c.rrCursor + bits.TrailingZeros64(w))
+	}
+	for j := k + 1; j < len(r); j++ {
+		if r[j] != 0 {
+			return c.pick(j<<6 + bits.TrailingZeros64(r[j]))
+		}
+	}
+	for j := 0; j <= k; j++ { // word k again: only bits below the cursor are left
+		if r[j] != 0 {
+			return c.pick(j<<6 + bits.TrailingZeros64(r[j]))
 		}
 	}
 	return nil
+}
+
+func (c *CU) pick(i int) *warpCtx {
+	c.rrCursor = i + 1
+	if c.rrCursor == len(c.warpList) {
+		c.rrCursor = 0
+	}
+	return c.warpList[i]
 }
 
 // tick issues at most one instruction from one ready warp.
@@ -341,7 +382,7 @@ func (c *CU) tick() {
 	switch p.Kind {
 	case isa.PendALU:
 		if p.Cycles > 1 {
-			wc.state = wBlocked
+			c.setState(wc, wBlocked)
 			c.eng.Schedule(sim.Cycle(p.Cycles), wc.unblockFn)
 		}
 	case isa.PendLoad:
@@ -362,7 +403,7 @@ func (c *CU) tick() {
 
 func (c *CU) unblock(wc *warpCtx) {
 	if wc.state == wBlocked {
-		wc.state = wReady
+		c.setState(wc, wReady)
 		if wc.stalled {
 			wc.stalled = false
 			c.tsnk.Event(uint64(c.eng.Now()), trace.KWarpResume, wc.tid, 0)
@@ -534,7 +575,7 @@ func (c *CU) issueLoad(wc *warpCtx, p *isa.Pending) {
 	case isa.Global:
 		a := c.coalesceGlobal(p)
 		a.wc, a.pend = wc, p
-		wc.state = wBlocked
+		c.setState(wc, wBlocked)
 		c.traceStall(wc)
 		a.remaining = len(a.lines)
 		// Transactions issue in address order (the access keeps its
@@ -551,11 +592,11 @@ func (c *CU) issueLoad(wc *warpCtx, p *isa.Pending) {
 		vals, lat := c.sp.Load(offsets)
 		wc.warp.CompleteLoad(p, vals)
 		if lat > 1 {
-			wc.state = wBlocked
+			c.setState(wc, wBlocked)
 			c.eng.Schedule(lat, wc.unblockFn)
 		}
 	case isa.Stash:
-		wc.state = wBlocked
+		c.setState(wc, wBlocked)
 		c.traceStall(wc)
 		wc.pend = p
 		c.stash.Load(wc.block.id, p.Slot, c.intOffsets(p.Addrs, wc.block.localBase), wc.stashLoadDone)
@@ -573,7 +614,7 @@ func (c *CU) issueStore(wc *warpCtx, p *isa.Pending) {
 		// The warp blocks until the L1 accepts every transaction (it
 		// may replay under MSHR/store-buffer pressure); acceptance
 		// order preserves the warp's same-address store ordering.
-		wc.state = wBlocked
+		c.setState(wc, wBlocked)
 		c.traceStall(wc)
 		a.remaining = len(a.lines)
 		for li := range a.lines {
@@ -584,7 +625,7 @@ func (c *CU) issueStore(wc *warpCtx, p *isa.Pending) {
 	case isa.Shared:
 		lat := c.sp.Store(c.intOffsets(p.Addrs, wc.block.localBase), p.Vals)
 		if lat > 1 {
-			wc.state = wBlocked
+			c.setState(wc, wBlocked)
 			c.eng.Schedule(lat, wc.unblockFn)
 		}
 	case isa.Stash:
@@ -613,7 +654,7 @@ func (c *CU) intOffsets(addrs []uint64, localBase int) []int {
 
 func (c *CU) barrier(wc *warpCtx) {
 	b := wc.block
-	wc.state = wBarrier
+	c.setState(wc, wBarrier)
 	b.waiting++
 	if b.waiting < b.alive {
 		return
@@ -621,7 +662,7 @@ func (c *CU) barrier(wc *warpCtx) {
 	b.waiting = 0
 	for _, w := range b.warps {
 		if w.state == wBarrier {
-			w.state = wReady
+			c.setState(w, wReady)
 		}
 	}
 }
@@ -667,7 +708,7 @@ func (c *CU) warpDone(wc *warpCtx) {
 	if wc.state == wDone {
 		return
 	}
-	wc.state = wDone
+	c.setState(wc, wDone)
 	b := wc.block
 	b.alive--
 	// A barrier may now be satisfiable.
@@ -675,7 +716,7 @@ func (c *CU) warpDone(wc *warpCtx) {
 		b.waiting = 0
 		for _, w := range b.warps {
 			if w.state == wBarrier {
-				w.state = wReady
+				c.setState(w, wReady)
 			}
 		}
 	}

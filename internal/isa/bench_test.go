@@ -39,12 +39,17 @@ func dispatchKernel() *Program {
 }
 
 // runDispatch executes prog once on w, completing loads from a
-// synthetic flat memory, and returns the instructions retired.
-func runDispatch(w *Warp, prog *Program, cfg WarpConfig, vals []uint32) int {
+// synthetic flat memory, and returns the instructions retired. ref
+// steps the warp through the reference interpreter.
+func runDispatch(w *Warp, prog *Program, cfg WarpConfig, vals []uint32, ref bool) int {
 	w.Reset(prog, cfg)
+	step := w.Step
+	if ref {
+		step = w.stepReference
+	}
 	instrs := 0
 	for {
-		p := w.Step()
+		p := step()
 		switch p.Kind {
 		case PendDone:
 			return instrs
@@ -76,13 +81,12 @@ func BenchmarkWarpStep(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			cfg := WarpConfig{Width: 32, BlockDim: 32, GridDim: 1, FuseALU: bc.fuse}
 			w := NewWarp(prog, cfg)
-			w.UseReference(bc.ref)
 			vals := make([]uint32, cfg.Width)
-			instrs := runDispatch(w, prog, cfg, vals) // warm the warp's buffers
+			instrs := runDispatch(w, prog, cfg, vals, bc.ref) // warm the warp's buffers
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				runDispatch(w, prog, cfg, vals)
+				runDispatch(w, prog, cfg, vals, bc.ref)
 			}
 			b.ReportMetric(float64(instrs), "instrs")
 			b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
@@ -99,11 +103,11 @@ func BenchmarkCompiledDispatch(b *testing.B) {
 	cfg := WarpConfig{Width: 32, BlockDim: 32, GridDim: 1, FuseALU: true}
 	w := NewWarp(prog, cfg)
 	vals := make([]uint32, cfg.Width)
-	instrs := runDispatch(w, prog, cfg, vals)
+	instrs := runDispatch(w, prog, cfg, vals, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runDispatch(w, prog, cfg, vals)
+		runDispatch(w, prog, cfg, vals, false)
 	}
 	b.ReportMetric(float64(instrs), "instrs")
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "instr/s")
@@ -119,9 +123,9 @@ func TestCompiledDispatchZeroAlloc(t *testing.T) {
 		cfg := WarpConfig{Width: 32, BlockDim: 32, GridDim: 1, FuseALU: fuse}
 		w := NewWarp(prog, cfg)
 		vals := make([]uint32, cfg.Width)
-		runDispatch(w, prog, cfg, vals) // size every reused buffer
+		runDispatch(w, prog, cfg, vals, false) // size every reused buffer
 		if n := testing.AllocsPerRun(10, func() {
-			runDispatch(w, prog, cfg, vals)
+			runDispatch(w, prog, cfg, vals, false)
 		}); n != 0 {
 			t.Errorf("FuseALU=%v: steady-state dispatch allocates %.0f allocs/op, want 0", fuse, n)
 		}

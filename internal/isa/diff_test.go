@@ -205,15 +205,16 @@ func snapshot(p *Pending) pendSnapshot {
 	}
 }
 
-// nextBoundary steps w until it produces a non-ALU pending, returning
-// that pending plus the ALU cycles and instructions retired on the way.
-func nextBoundary(t testing.TB, w *Warp) (*Pending, int, int) {
+// nextBoundary calls step until it produces a non-ALU pending,
+// returning that pending plus the ALU cycles and instructions retired
+// on the way.
+func nextBoundary(t testing.TB, step func() *Pending) (*Pending, int, int) {
 	cycles, instrs := 0, 0
 	for steps := 0; ; steps++ {
 		if steps > 1_000_000 {
 			t.Fatal("program did not terminate")
 		}
-		p := w.Step()
+		p := step()
 		if p.Kind == PendALU {
 			cycles += p.Cycles
 			instrs += p.Fused
@@ -232,11 +233,10 @@ func runDiff(t testing.TB, prog *Program, cfg WarpConfig) {
 	refCfg := cfg
 	refCfg.FuseALU = false
 	wr := NewWarp(prog, refCfg)
-	wr.UseReference(true)
 
 	for round := 0; ; round++ {
-		pc, cycC, insC := nextBoundary(t, wc)
-		pr, cycR, insR := nextBoundary(t, wr)
+		pc, cycC, insC := nextBoundary(t, wc.Step)
+		pr, cycR, insR := nextBoundary(t, wr.stepReference)
 		if cycC != cycR || insC != insR {
 			t.Fatalf("round %d: ALU run mismatch: compiled %d cycles/%d instrs, reference %d cycles/%d instrs",
 				round, cycC, insC, cycR, insR)
