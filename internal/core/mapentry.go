@@ -34,7 +34,7 @@ type MapParams struct {
 	FieldBytes  int           // bytes of the mapped field (= object size for scalar arrays)
 	ObjectBytes int           // bytes of one object in the AoS
 	RowElems    int           // objects per row of the tile ("rowSize")
-	StrideBytes int           // bytes between consecutive tile rows ("strideSize")
+	StrideBytes int           // bytes between consecutive tile rows ("strideSize"), a word multiple if NumRows > 1
 	NumRows     int           // rows in the tile ("numStrides")
 	Coherent    bool          // Mapped Coherent vs Mapped Non-coherent (Section 3.3)
 }
@@ -50,6 +50,8 @@ func (m MapParams) Validate() error {
 		return fmt.Errorf("core: empty tile %dx%d", m.NumRows, m.RowElems)
 	case m.NumRows > 1 && m.StrideBytes < m.RowElems*m.ObjectBytes:
 		return fmt.Errorf("core: stride %d overlaps rows of %d objects", m.StrideBytes, m.RowElems)
+	case m.NumRows > 1 && m.StrideBytes%memdata.WordBytes != 0:
+		return fmt.Errorf("core: stride %d must be a word multiple", m.StrideBytes)
 	case m.StashBase < 0:
 		return fmt.Errorf("core: negative stash base %d", m.StashBase)
 	case m.GlobalBase%memdata.WordBytes != 0 || m.ObjectBytes%memdata.WordBytes != 0:
@@ -155,13 +157,11 @@ func (m MapParams) sameTile(o MapParams) bool {
 // lineWords reverse-translates the 16 words of the virtual line at
 // vline at once. soff[w] is the absolute stash offset holding word w,
 // equal to virtToStash of the word's address, or -1 when the tile does
-// not hold the word. exact has bit w set when stashToVirt(soff[w]) is
-// word w's own address. In a row that starts off a word boundary (a
-// stride that is not a multiple of 4), stashToVirt puts each stash word
-// 1–3 bytes before the word that maps to it, and those bits stay clear.
-// The tile position is found once, by division, for the first word at
-// or past GlobalBase, and then stepped word by word.
-func (e *mapEntry) lineWords(vline memdata.VAddr, soff *[memdata.WordsPerLine]int32) (exact memdata.WordMask) {
+// not hold the word. Every row starts on a word (Validate), so each
+// offset maps back to its word's own address. The tile position is
+// found once, by division, for the first word at or past GlobalBase,
+// and then stepped word by word.
+func (e *mapEntry) lineWords(vline memdata.VAddr, soff *[memdata.WordsPerLine]int32) {
 	w := 0
 	if vline < e.GlobalBase {
 		w = int(e.GlobalBase-vline) / memdata.WordBytes
@@ -170,7 +170,7 @@ func (e *mapEntry) lineWords(vline memdata.VAddr, soff *[memdata.WordsPerLine]in
 		soff[i] = -1
 	}
 	if w >= memdata.WordsPerLine {
-		return 0
+		return
 	}
 	d := int(vline+memdata.VAddr(w*memdata.WordBytes)) - int(e.GlobalBase)
 	row, rem := 0, d
@@ -182,19 +182,13 @@ func (e *mapEntry) lineWords(vline memdata.VAddr, soff *[memdata.WordsPerLine]in
 	for ; w < memdata.WordsPerLine; w++ {
 		if row < e.NumRows && col < e.RowElems && inObj < e.FieldBytes {
 			soff[w] = int32(e.StashBase + (row*e.RowElems+col)*e.fieldWords + inObj/memdata.WordBytes)
-			if inObj%memdata.WordBytes == 0 {
-				exact |= memdata.Bit(w)
-			}
 		} else {
 			soff[w] = -1
 		}
 		rem += memdata.WordBytes
-		if multiRow && rem >= e.StrideBytes {
-			// rem was below the stride, so the next row starts at most a
-			// word back and the word lands in its first object.
+		if multiRow && rem == e.StrideBytes {
 			row++
-			rem -= e.StrideBytes
-			col, inObj = 0, rem
+			rem, col, inObj = 0, 0, 0
 			continue
 		}
 		inObj += memdata.WordBytes
@@ -203,7 +197,6 @@ func (e *mapEntry) lineWords(vline memdata.VAddr, soff *[memdata.WordsPerLine]in
 			inObj -= e.ObjectBytes
 		}
 	}
-	return exact
 }
 
 // pages returns the distinct virtual pages the mapping touches, in

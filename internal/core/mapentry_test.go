@@ -62,6 +62,8 @@ func TestValidate(t *testing.T) {
 		{StashBase: 0, GlobalBase: 0, FieldBytes: 4, ObjectBytes: 4, RowElems: 0, NumRows: 1},
 		{StashBase: -1, GlobalBase: 0, FieldBytes: 4, ObjectBytes: 4, RowElems: 1, NumRows: 1},
 		{StashBase: 0, GlobalBase: 0, FieldBytes: 4, ObjectBytes: 8, RowElems: 4, NumRows: 2, StrideBytes: 16},
+		// The second row would start off a word boundary.
+		{StashBase: 0, GlobalBase: 0x10008, FieldBytes: 4, ObjectBytes: 8, RowElems: 5, NumRows: 2, StrideBytes: 42},
 	}
 	for i, m := range bad {
 		if err := m.Validate(); err == nil {

@@ -750,8 +750,8 @@ func (s *Stash) Load(tb, slot int, offsets []int, done func(vals []uint32)) {
 	// Miss: translate (six ALU ops through the stash-map plus a VP-map
 	// TLB access), then request the missing global lines, compactly
 	// filling every still-invalid stash word that maps to each line.
-	// Planning a line marks the stash words it exactly covers, so a
-	// sibling miss in a planned line is skipped without translating it.
+	// Planning a line marks the stash words it covers, so a sibling
+	// miss in a planned line is skipped without translating it.
 	plan := s.acquirePlan() // global line -> line word -> stash offset
 	planned := &s.banks.Marks
 	planned.Reset()
@@ -766,14 +766,12 @@ func (s *Stash) Load(tb, slot int, offsets []int, done func(vals []uint32)) {
 			continue // already planned by a sibling miss
 		}
 		fl := plan.insert(line)
-		exact := e.lineWords(memdata.VLineOf(va), &fl.soff)
+		e.lineWords(memdata.VLineOf(va), &fl.soff)
 		for w, soff := range fl.soff {
 			if soff < 0 {
 				continue
 			}
-			if exact.Has(w) {
-				planned.Add(int(soff))
-			}
+			planned.Add(int(soff))
 			if s.state[soff] != coh.Invalid {
 				fl.soff[w] = -1
 			}

@@ -10,8 +10,8 @@ import (
 
 // randTile draws a random but valid mapping from rng, biased toward the
 // shapes the address walks must get right: objects of 4096 bytes or
-// more, fields wider than a page, strides that are not a multiple of 4,
-// tiles that start mid-line, and rows close enough to share a page.
+// more, fields wider than a page, tiles that start mid-line, and rows
+// close enough to share a page.
 func randTile(rng *rand.Rand) MapParams {
 	fieldWords := 1 + rng.Intn(4)
 	if rng.Intn(8) == 0 {
@@ -30,9 +30,9 @@ func randTile(rng *rand.Rand) MapParams {
 	stride := rowElems * objBytes
 	switch rng.Intn(3) {
 	case 1:
-		stride += rng.Intn(256) // rows share a page; any byte count
+		stride += memdata.WordBytes * rng.Intn(64) // rows share a page
 	case 2:
-		stride += rng.Intn(3 * 4096)
+		stride += memdata.WordBytes * rng.Intn(3*1024)
 	}
 	for numRows > 1 && numRows*rowElems*fieldWords > 8192 {
 		numRows--
@@ -61,9 +61,7 @@ func randTile(rng *rand.Rand) MapParams {
 //   - pages against a walk of every tile word through stashToVirt,
 //     deduplicated through a map (the walk pages replaced);
 //   - lineWords, for every line the tile touches and the lines on
-//     either side, against virtToStash (TileWordOf) word by word, with
-//     a word's exact bit set just when stashToVirt maps its stash offset
-//     back to the word's own address.
+//     either side, against virtToStash (TileWordOf) word by word.
 func checkMapTranslate(t *testing.T, m MapParams) {
 	t.Helper()
 	e := entryOf(m)
@@ -84,7 +82,7 @@ func checkMapTranslate(t *testing.T, m MapParams) {
 	}
 	var soff [memdata.WordsPerLine]int32
 	for vline := range lines {
-		exact := e.lineWords(vline, &soff)
+		e.lineWords(vline, &soff)
 		for w := range soff {
 			wa := vline + memdata.VAddr(w*memdata.WordBytes)
 			off, ok := e.virtToStash(wa)
@@ -93,9 +91,6 @@ func checkMapTranslate(t *testing.T, m MapParams) {
 			}
 			if int(soff[w]) != off {
 				t.Fatalf("%+v: line %#x word %d: lineWords = %d, virtToStash = %d", m, uint64(vline), w, soff[w], off)
-			}
-			if want := ok && e.stashToVirt(off) == wa; exact.Has(w) != want {
-				t.Fatalf("%+v: line %#x word %d: exact = %v, want %v", m, uint64(vline), w, exact.Has(w), want)
 			}
 		}
 	}
@@ -120,7 +115,6 @@ func TestMapTranslateRandomTiles(t *testing.T) {
 		aosFieldMap(16, 0x2004, 64, 40),
 		tileMap(64, 0x8000, 8, 16, 4, 256, 3),
 		tileMap(0, 0x10000, 4, 4, 8, 4096, 2),
-		tileMap(0, 0x10008, 4, 8, 5, 42, 7), // a stride that is not a word multiple
 	} {
 		checkMapTranslate(t, m)
 	}

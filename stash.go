@@ -374,7 +374,9 @@ type MapParams struct {
 	// element size (equal for scalar arrays).
 	FieldBytes, ObjectBytes int
 	// RowElems elements per tile row; StrideBytes between rows;
-	// NumRows rows ("rowSize", "strideSize", "numStrides").
+	// NumRows rows ("rowSize", "strideSize", "numStrides"). A tile of
+	// more than one row needs a StrideBytes that is a multiple of 4, so
+	// that every row starts on a word.
 	RowElems, StrideBytes, NumRows int
 	// Coherent selects Mapped Coherent vs Mapped Non-coherent mode.
 	Coherent bool
