@@ -78,10 +78,9 @@ func BenchmarkFig5Microbenchmarks(b *testing.B) {
 // BenchmarkFig5TraceOverhead pins the host cost of the tracing
 // subsystem on one Figure 5 cell. trace-off is the shipping
 // configuration (every emit site a nil-check no-op); trace-on pays for
-// event staging, series bucketing, and the periodic ring drain. Both
-// variants produce bit-identical simulated metrics — only ns/op and
-// allocs/op move. scripts/bench.sh records both rows in BENCH_*.json,
-// so the trajectory tracks the overhead release over release.
+// encoding each event at its emit site into the spill, and for series
+// bucketing. Both variants produce bit-identical simulated metrics —
+// only ns/op and allocs/op move.
 func BenchmarkFig5TraceOverhead(b *testing.B) {
 	for _, traced := range []bool{false, true} {
 		label := "trace-off"

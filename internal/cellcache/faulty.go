@@ -76,7 +76,7 @@ func NewFaulty(inner Engine, p FaultProfile) *Faulty {
 }
 
 // Heal permanently stops fault injection; the wrapper becomes
-// transparent.
+// transparent. It is a test hook: only tests call it.
 func (f *Faulty) Heal() {
 	f.mu.Lock()
 	f.healed = true
@@ -181,8 +181,8 @@ func (f *Faulty) Len() int                     { return f.inner.Len() }
 func (f *Faulty) Keys(yield func(string) bool) { f.inner.Keys(yield) }
 func (f *Faulty) Close() error                 { return f.inner.Close() }
 
-// Counts reports how many faults have fired, for diagnostics and
-// tests.
+// Counts reports how many faults have fired. It is a test hook: only
+// tests call it.
 func (f *Faulty) Counts() (putErrs, getErrs, torn, downOps uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

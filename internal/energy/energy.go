@@ -88,9 +88,6 @@ var eventComponent = [numEvents]Component{
 	L2Write:       L2,
 }
 
-// ComponentOf returns the stacked-bar component an event belongs to.
-func ComponentOf(e Event) Component { return eventComponent[e] }
-
 // Costs holds the per-access energy of each event class in picojoules.
 type Costs [numEvents]float64
 
@@ -163,15 +160,6 @@ func (a *Account) NonzeroCounts() map[string]uint64 {
 		if a.counts[e] != 0 {
 			out[eventNames[e]] = a.counts[e]
 		}
-	}
-	return out
-}
-
-// Breakdown returns per-component energy in the paper's stacking order.
-func (a *Account) Breakdown() [NumComponents]float64 {
-	var out [NumComponents]float64
-	for e := Event(0); e < numEvents; e++ {
-		out[eventComponent[e]] += float64(a.counts[e]) * a.costs[e]
 	}
 	return out
 }

@@ -47,6 +47,19 @@ func TestPaperEnergyRelations(t *testing.T) {
 	}
 }
 
+// unitCosts prices every event class at 1 pJ, so each component's
+// energy is the count of its events, DRAM included (Table 3 prices
+// DRAM at 0).
+func unitCosts() Costs {
+	var c Costs
+	for e := range c {
+		c[e] = 1
+	}
+	return c
+}
+
+// TestEventComponentMapping charges one event of each class and checks
+// that ComponentPJ puts it in its figure component and nowhere else.
 func TestEventComponentMapping(t *testing.T) {
 	cases := map[Event]Component{
 		GPUInst:       GPUCore,
@@ -64,9 +77,20 @@ func TestEventComponentMapping(t *testing.T) {
 		NoCFlitHop:    NoC,
 		DRAMAccess:    DRAM,
 	}
-	for e, want := range cases {
-		if got := ComponentOf(e); got != want {
-			t.Errorf("ComponentOf(%v) = %v, want %v", e, got, want)
+	if len(cases) != int(numEvents) {
+		t.Fatalf("table covers %d of %d events", len(cases), numEvents)
+	}
+	for e, comp := range cases {
+		a := NewAccount(unitCosts())
+		a.Add(e, 1)
+		for c := Component(0); c < NumComponents; c++ {
+			want := 0.0
+			if c == comp {
+				want = 1
+			}
+			if got := a.ComponentPJ(c); got != want {
+				t.Errorf("%v: ComponentPJ(%v) = %v, want %v", e, c, got, want)
+			}
 		}
 	}
 }
@@ -90,16 +114,16 @@ func TestAccountAccumulation(t *testing.T) {
 	}
 }
 
-// Property: the component breakdown always sums to the total.
+// Property: the per-component energies always sum to the total.
 func TestBreakdownSumsToTotalProperty(t *testing.T) {
 	f := func(counts [numEvents]uint16) bool {
-		a := NewAccount(DefaultCosts())
+		a := NewAccount(unitCosts())
 		for e := Event(0); e < numEvents; e++ {
 			a.Add(e, uint64(counts[e]))
 		}
 		var sum float64
-		for _, v := range a.Breakdown() {
-			sum += v
+		for c := Component(0); c < NumComponents; c++ {
+			sum += a.ComponentPJ(c)
 		}
 		return math.Abs(sum-a.TotalPJ()) < 1e-6
 	}
@@ -158,9 +182,8 @@ func TestAccountCustomCosts(t *testing.T) {
 	if got := a.TotalPJ(); math.Abs(got-(wantStash+wantL2+wantCore)) > 1e-9 {
 		t.Errorf("TotalPJ = %v, want %v", got, wantStash+wantL2+wantCore)
 	}
-	b := a.Breakdown()
-	if math.Abs(b[ScratchStash]-wantStash) > 1e-9 || math.Abs(b[L2]-wantL2) > 1e-9 || math.Abs(b[GPUCore]-wantCore) > 1e-9 {
-		t.Errorf("Breakdown = %v", b)
+	if got := a.ComponentPJ(GPUCore); math.Abs(got-wantCore) > 1e-9 {
+		t.Errorf("ComponentPJ(GPUCore) = %v, want %v", got, wantCore)
 	}
 }
 

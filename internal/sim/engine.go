@@ -418,5 +418,6 @@ func (e *Engine) RunUntil(t Cycle) {
 	}
 }
 
-// RunFor executes events for d cycles past the current time.
+// RunFor executes events for d cycles past the current time. It is a
+// test hook: only tests call it.
 func (e *Engine) RunFor(d Cycle) { e.RunUntil(e.now + d) }

@@ -220,7 +220,8 @@ func (c *Collector) Sink(track string) *Sink {
 }
 
 // SeriesByName returns the named counter series, creating it on first
-// use. Safe on a nil collector.
+// use. Safe on a nil collector. It is a test hook: components get their
+// series through their Sink, and only tests call it.
 func (c *Collector) SeriesByName(name string) *Series {
 	if c == nil {
 		return nil

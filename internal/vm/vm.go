@@ -135,5 +135,6 @@ func (as *AddressSpace) Mapped(v memdata.VAddr) bool {
 	return idx < len(as.vToP) && as.vToP[idx] != 0
 }
 
-// PageCount reports the number of mapped pages.
+// PageCount reports the number of mapped pages. It is a test hook:
+// only tests call it.
 func (as *AddressSpace) PageCount() int { return as.mapped }
